@@ -87,26 +87,27 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
-/// FNV-1a 64 over a byte slice (integrity checksum; the same function the
-/// serving layer uses for journal records).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// FNV-1a 64-bit offset basis.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit prime.
+pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// A streaming FNV-1a 64 hasher for tag derivation from larger inputs
-/// (e.g. serialized model weights).
+/// Streaming FNV-1a 64-bit hasher: the workspace's one hash for integrity
+/// checks and derived keys — this module's snapshot checksum and tag, and
+/// in `waco-serve` the sparsity fingerprint, journal record checksums, the
+/// hash ring's points, and the cache's shard selection.
 #[derive(Debug, Clone, Copy)]
-pub struct TagHasher(u64);
+pub struct Fnv64(u64);
 
-impl TagHasher {
-    /// Starts from the FNV offset basis.
+impl Fnv64 {
+    /// Starts a hasher from the standard FNV-1a offset basis.
     pub fn new() -> Self {
-        TagHasher(0xcbf2_9ce4_8422_2325)
+        Fnv64(FNV_OFFSET)
+    }
+
+    /// Starts a hasher from an arbitrary basis (for independent streams).
+    pub fn with_basis(basis: u64) -> Self {
+        Fnv64(basis)
     }
 
     /// Absorbs bytes.
@@ -114,31 +115,39 @@ impl TagHasher {
         let mut h = self.0;
         for &b in bytes {
             h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            h = h.wrapping_mul(FNV_PRIME);
         }
         self.0 = h;
     }
 
-    /// Absorbs a `u64`.
+    /// Absorbs a `u64` in little-endian byte order.
     pub fn write_u64(&mut self, v: u64) {
         self.write(&v.to_le_bytes());
     }
 
-    /// The tag.
+    /// The current digest.
     pub fn finish(&self) -> u64 {
         self.0
     }
 }
 
-impl Default for TagHasher {
+impl Default for Fnv64 {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Write for TagHasher {
+/// One-shot FNV-1a 64 of a byte slice.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h = Fnv64::new();
+    h.write(bytes);
+    h.finish()
+}
+
+/// Lets a model serialize straight into the hasher (see [`snapshot_tag`]).
+impl Write for Fnv64 {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        TagHasher::write(self, buf);
+        Fnv64::write(self, buf);
         Ok(buf.len())
     }
 
@@ -347,7 +356,7 @@ pub fn snapshot_tag(
     count: usize,
     seed: u64,
 ) -> Result<u64, PersistError> {
-    let mut h = TagHasher::new();
+    let mut h = Fnv64::new();
     model
         .save(&mut h)
         .map_err(|e| PersistError::Format(format!("serializing model for tag: {e}")))?;

@@ -17,12 +17,14 @@
 //!   truncation and compaction on load.
 //! * [`protocol`] + [`server`] + [`client`] — a localhost TCP request loop
 //!   speaking length-prefixed JSON (`tune` / `lookup` / `stats` / `sync` /
-//!   `shutdown`) with a bounded admission queue, per-request timeouts, and
-//!   graceful drain.
+//!   `shutdown`) with a connection cap, an idle timeout, and graceful
+//!   drain.
 //! * [`ring`] + [`router`] + [`sync`] — the distributed tier: a consistent
 //!   hash ring over the fingerprint, a proxy that shards requests across N
 //!   servers with failover to the ring's next live shard, and peer journal
-//!   streaming so a joining shard starts warm.
+//!   streaming so a joining shard starts warm. The server and the router
+//!   run on one private connection reactor (`reactor.rs`) that owns the
+//!   listener, every client connection and its in-order response queue.
 //! * [`tuner`] — the serving backend: lazily-trained [`waco_core::Waco`]
 //!   pipelines with warm-start ANNS index snapshots (`waco-anns`'
 //!   `persist` module).
@@ -38,6 +40,7 @@ pub mod json;
 pub mod lru;
 pub mod plan_cache;
 pub mod protocol;
+mod reactor;
 pub mod ring;
 pub mod router;
 pub mod server;

@@ -26,8 +26,11 @@ use std::io::{Read, Write};
 
 use waco_core::WacoError;
 use waco_schedule::Kernel;
+use waco_tensor::io::read_matrix_market;
+use waco_tensor::CooMatrix;
 
 use crate::cache::{decision_from_json, decision_to_json, kernel_from_name, Decision};
+use crate::fingerprint::Fingerprint;
 use crate::json::Json;
 
 /// Largest accepted frame body (a matrix uploaded inline can be large, but
@@ -259,6 +262,16 @@ pub fn sync_batch_from_json(v: &Json) -> Option<SyncBatch> {
         done: v.get("done")?.as_bool()?,
         total: v.get("total")?.as_u64()? as usize,
     })
+}
+
+/// Parses an inline Matrix Market body and fingerprints it: the key
+/// derivation shared by the server's executors and the router's ring
+/// dispatch. The error is a one-line message for an error response.
+pub fn parse_and_fingerprint(matrix: &str) -> Result<(CooMatrix, Fingerprint), String> {
+    let m =
+        read_matrix_market(matrix.as_bytes()).map_err(|e| format!("parsing inline matrix: {e}"))?;
+    let fp = Fingerprint::of_matrix(&m);
+    Ok((m, fp))
 }
 
 /// Builds an error response; `busy` marks admission-queue rejection so

@@ -2,23 +2,23 @@
 //! `tune`/`lookup` requests over the 128-bit sparsity fingerprint onto N
 //! shard servers, with failover to the ring's next live shard.
 //!
-//! The router reuses the serve loop's shape — one nonblocking epoll thread
-//! owning the listener, every client connection, and one persistent
-//! connection per shard — but it never tunes and never caches: its whole
-//! job is to pick a shard and move frames. Life of a request:
+//! The router is the second tier of the connection reactor the server
+//! runs on: the reactor owns the listener and every client connection with
+//! its in-order slot queue, and the router adds one persistent connection
+//! per shard on its own poll tokens. It never tunes and never caches: its
+//! whole job is to pick a shard and move frames. Life of a request:
 //!
-//! 1. A complete frame is decoded from a client's read buffer. `stats` and
-//!    `shutdown` are answered locally (shutdown drains the *router*; shards
-//!    stay up). `sync` is refused — journal streaming is shard-to-shard.
+//! 1. `stats` and `shutdown` are answered locally (shutdown drains the
+//!    *router*; shards stay up). `sync` is refused — journal streaming is
+//!    shard-to-shard.
 //! 2. `tune`/`lookup` bodies are fingerprinted on the loop (parsing is
-//!    cheap relative to tuning) and the frame's *exact bytes* are forwarded
-//!    to the first reachable shard in [`HashRing::successors`] order.
-//!    Responses forward back byte-exact, so the client sees precisely what
-//!    the shard said.
-//! 3. Each client connection holds a slot queue: pipelined requests that
-//!    hash to different shards complete in any order upstream, but
-//!    responses flush strictly in request order.
-//! 4. **Failover:** a shard that refuses connections, dies mid-frame, or
+//!    cheap relative to tuning), a response slot is reserved, and the
+//!    frame's *exact bytes* are forwarded to the first reachable shard in
+//!    [`HashRing::successors`] order. The shard's response frame fills the
+//!    slot byte-exact, so the client sees precisely what the shard said —
+//!    in request order, even when pipelined requests hash to different
+//!    shards and complete out of order upstream.
+//! 3. **Failover:** a shard that refuses connections, dies mid-frame, or
 //!    closes mid-stream is marked down; every request in flight on it is
 //!    re-dispatched to the next live shard on that key's ring walk, which
 //!    cold-tunes. Degraded, never wrong: the fallback shard computes the
@@ -31,9 +31,9 @@
 //! `serve.route.reconnects`, and a `router` section in the local `stats`
 //! frame with per-shard states.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -41,13 +41,15 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use waco_core::WacoError;
-use waco_runtime::poll::{wake_pair, Interest, Poller, WakeReceiver, Waker};
+use waco_runtime::poll::{Event, Interest, Waker};
 
 use crate::fingerprint::Fingerprint;
 use crate::json::Json;
-use crate::protocol::{decode_frame, encode_frame, error_response, Decoded, Frame, Request};
+use crate::protocol::{
+    decode_frame, encode_frame, error_response, parse_and_fingerprint, Decoded, Request,
+};
+use crate::reactor::{Reactor, Tier, TOKEN_TIER_BASE};
 use crate::ring::{HashRing, DEFAULT_VNODES};
-use crate::server::parse_and_fingerprint;
 
 /// How long one blocking dial of a shard may take. Loopback refusals are
 /// immediate; this only bounds a pathologically unresponsive stack.
@@ -188,60 +190,8 @@ impl RouterConfigBuilder {
 }
 
 // ---------------------------------------------------------------------------
-// Loop state
+// The router's tier of the reactor
 // ---------------------------------------------------------------------------
-
-const TOKEN_LISTENER: u64 = 0;
-const TOKEN_WAKER: u64 = 1;
-const TOKEN_UPSTREAM_BASE: u64 = 2;
-
-/// A response slot on a client connection; `Ready` holds the shard's
-/// response frame verbatim (prefix + body) so forwarding is byte-exact.
-enum SlotState {
-    Waiting,
-    Ready(Vec<u8>),
-}
-
-struct Slot {
-    id: u64,
-    state: SlotState,
-}
-
-struct ClientConn {
-    stream: TcpStream,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
-    pending: VecDeque<Slot>,
-    next_slot: u64,
-    last_activity: Instant,
-    close_after_flush: bool,
-    interest: Interest,
-}
-
-impl ClientConn {
-    fn push_ready(&mut self, frame: Vec<u8>) {
-        let id = self.next_slot;
-        self.next_slot += 1;
-        self.pending.push_back(Slot {
-            id,
-            state: SlotState::Ready(frame),
-        });
-    }
-
-    fn push_waiting(&mut self) -> u64 {
-        let id = self.next_slot;
-        self.next_slot += 1;
-        self.pending.push_back(Slot {
-            id,
-            state: SlotState::Waiting,
-        });
-        id
-    }
-
-    fn idle(&self) -> bool {
-        self.pending.is_empty() && self.wbuf.is_empty()
-    }
-}
 
 /// One request forwarded (or awaiting forwarding) to a shard. Keeps the
 /// encoded frame and the fingerprint so a shard death can re-dispatch it
@@ -287,372 +237,91 @@ struct RouterShared {
     shard_down: AtomicU64,
     reconnects: AtomicU64,
     waker: Waker,
-    timeout: Duration,
 }
 
-struct RouterLoop {
+/// What the router plugs into the [`Reactor`]: one poll token per shard
+/// (shard `i` at `TOKEN_TIER_BASE + i`), ring dispatch, and failover.
+struct RouterTier {
     shared: Arc<RouterShared>,
     ring: HashRing,
-    poller: Poller,
-    listener: Option<TcpListener>,
-    wake_rx: WakeReceiver,
     upstreams: Vec<Upstream>,
-    conns: HashMap<u64, ClientConn>,
-    next_token: u64,
-    max_connections: usize,
 }
 
-impl RouterLoop {
-    fn client_base(&self) -> u64 {
-        TOKEN_UPSTREAM_BASE + self.upstreams.len() as u64
+impl Tier for RouterTier {
+    fn draining(&self) -> bool {
+        self.shared.shutdown.load(Ordering::SeqCst)
     }
 
-    fn run(&mut self) {
-        let mut events = Vec::new();
-        loop {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                if let Some(l) = self.listener.take() {
-                    let _ = self.poller.delete(l.as_raw_fd());
-                }
-            }
-            if self.listener.is_none() && self.conns.is_empty() {
-                break;
-            }
-            let timeout = self.wait_budget();
-            if self.poller.wait(&mut events, timeout).is_err() {
-                break; // poller failure is unrecoverable
-            }
-            let mut touched = Vec::new();
-            for ev in events.iter() {
-                match ev.token {
-                    TOKEN_LISTENER => self.accept_all(&mut touched),
-                    TOKEN_WAKER => self.wake_rx.drain(),
-                    t if t < self.client_base() => {
-                        let shard = (t - TOKEN_UPSTREAM_BASE) as usize;
-                        if ev.readable || ev.closed {
-                            self.read_upstream(shard, &mut touched);
-                        }
-                        if ev.writable {
-                            self.flush_upstream(shard, &mut touched);
-                        }
-                    }
-                    t => {
-                        if ev.readable && self.conns.contains_key(&t) {
-                            self.read_client(t, &mut touched);
-                        }
-                        touched.push(t);
-                    }
-                }
-            }
-            touched.sort_unstable();
-            touched.dedup();
-            for token in touched {
-                self.advance_client(token);
-            }
-            self.sweep_idle();
-        }
-        // Drop shard connections on the way out; shards keep running.
-        for shard in 0..self.upstreams.len() {
-            if let Some(s) = self.upstreams[shard].stream.take() {
-                let _ = self.poller.delete(s.as_raw_fd());
-            }
-        }
-    }
-
-    /// Poll budget: mirrors the serve loop — earliest idle deadline among
-    /// closable client connections, 1 s heartbeat whenever any connection
-    /// exists, unbounded for an idle listener.
-    fn wait_budget(&self) -> Option<Duration> {
-        if self.conns.is_empty() {
-            return None;
-        }
-        let now = Instant::now();
-        let mut budget = Duration::from_secs(1);
-        for c in self.conns.values() {
-            if c.idle() {
-                let deadline = c.last_activity + self.shared.timeout;
-                let remaining = deadline.saturating_duration_since(now);
-                budget = budget.min(remaining.max(Duration::from_millis(10)));
-            }
-        }
-        Some(budget)
-    }
-
-    fn accept_all(&mut self, touched: &mut Vec<u64>) {
-        loop {
-            let Some(listener) = self.listener.as_ref() else {
-                return;
-            };
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    let mut conn = ClientConn {
-                        stream,
-                        rbuf: Vec::new(),
-                        wbuf: Vec::new(),
-                        pending: VecDeque::new(),
-                        next_slot: 0,
-                        last_activity: Instant::now(),
-                        close_after_flush: false,
-                        interest: Interest::READ,
-                    };
-                    if self.conns.len() >= self.max_connections {
-                        conn.push_ready(encode_frame(&error_response(
-                            "router busy: connection limit reached",
-                            true,
-                        )));
-                        conn.close_after_flush = true;
-                    }
-                    if self
-                        .poller
-                        .add(conn.stream.as_raw_fd(), token, conn.interest)
-                        .is_err()
-                    {
-                        continue;
-                    }
-                    self.conns.insert(token, conn);
-                    touched.push(token);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
-        }
-    }
-
-    // -- client side --------------------------------------------------------
-
-    fn read_client(&mut self, token: u64, touched: &mut Vec<u64>) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    self.close_conn(token);
-                    return;
-                }
-                Ok(n) => {
-                    conn.rbuf.extend_from_slice(&chunk[..n]);
-                    conn.last_activity = Instant::now();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close_conn(token);
-                    return;
-                }
-            }
-        }
-        self.parse_client_frames(token, touched);
-    }
-
-    fn parse_client_frames(&mut self, token: u64, touched: &mut Vec<u64>) {
-        let mut consumed = 0;
-        loop {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            if conn.close_after_flush {
-                break;
-            }
-            match decode_frame(&conn.rbuf[consumed..]) {
-                Decoded::Incomplete => break,
-                Decoded::Oversized(msg) => {
-                    conn.push_ready(encode_frame(&error_response(&msg, false)));
-                    conn.close_after_flush = true;
-                    break;
-                }
-                Decoded::Complete(n, frame) => {
-                    let raw = conn.rbuf[consumed..consumed + n].to_vec();
-                    consumed += n;
-                    match frame {
-                        Frame::Malformed(msg) => {
-                            conn.push_ready(encode_frame(&error_response(&msg, false)));
-                        }
-                        Frame::Body(body) => self.handle_request(token, &body, raw, touched),
-                    }
-                }
-            }
-        }
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.rbuf.drain(..consumed);
-        }
-    }
-
-    fn handle_request(&mut self, token: u64, body: &Json, raw: Vec<u8>, touched: &mut Vec<u64>) {
+    fn request(&mut self, reactor: &mut Reactor, token: u64, body: &Json, raw: &[u8]) {
         self.shared.requests.fetch_add(1, Ordering::Relaxed);
         waco_obs::counter("serve.route.requests", 1);
         let req = match Request::from_json(body) {
             Ok(r) => r,
-            Err(e) => {
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.push_ready(encode_frame(&error_response(&e.to_string(), false)));
-                }
-                return;
-            }
+            Err(e) => return reactor.respond(token, &error_response(&e.to_string(), false)),
         };
         match req {
-            Request::Stats => {
-                let response = encode_frame(&self.stats_response());
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.push_ready(response);
-                }
-            }
+            Request::Stats => reactor.respond(token, &self.stats_response()),
             Request::Shutdown => {
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.push_ready(encode_frame(&Json::obj([
-                        ("ok", Json::Bool(true)),
-                        ("draining", Json::Bool(true)),
-                    ])));
-                    conn.close_after_flush = true;
-                }
+                reactor.respond(
+                    token,
+                    &Json::obj([("ok", Json::Bool(true)), ("draining", Json::Bool(true))]),
+                );
+                reactor.close_after_flush(token);
                 self.shared.shutdown.store(true, Ordering::SeqCst);
                 waco_obs::counter("serve.route.shutdowns", 1);
             }
             Request::Sync { .. } => {
                 // Journal streaming is shard-to-shard: a joiner dials the
                 // source shard directly (`serve --sync-from`).
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.push_ready(encode_frame(&error_response(
-                        "sync must target a shard directly, not the router",
-                        false,
-                    )));
-                }
+                reactor.respond(
+                    token,
+                    &error_response("sync must target a shard directly, not the router", false),
+                );
             }
             Request::Tune { matrix, .. } | Request::Lookup { matrix, .. } => {
                 let fp = match parse_and_fingerprint(&matrix) {
                     Ok((_, fp)) => fp,
-                    Err(e) => {
-                        if let Some(conn) = self.conns.get_mut(&token) {
-                            conn.push_ready(encode_frame(&error_response(&e, false)));
-                        }
-                        return;
-                    }
+                    Err(e) => return reactor.respond(token, &error_response(&e, false)),
                 };
-                let Some(conn) = self.conns.get_mut(&token) else {
+                let Some(slot) = reactor.push_waiting(token) else {
                     return;
                 };
-                let slot = conn.push_waiting();
-                self.dispatch(
-                    Pending {
-                        conn: token,
-                        slot,
-                        frame: raw,
-                        fp,
-                        tried: Vec::new(),
-                    },
-                    touched,
-                );
+                let pending = Pending {
+                    conn: token,
+                    slot,
+                    frame: raw.to_vec(),
+                    fp,
+                    tried: Vec::new(),
+                };
+                self.dispatch(reactor, pending);
             }
         }
     }
 
-    fn fill_slot(&mut self, token: u64, slot: u64, frame: Vec<u8>) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return; // client left while the request was in flight
-        };
-        if let Some(s) = conn.pending.iter_mut().find(|s| s.id == slot) {
-            s.state = SlotState::Ready(frame);
+    fn event(&mut self, reactor: &mut Reactor, ev: &Event) {
+        let shard = (ev.token - TOKEN_TIER_BASE) as usize;
+        if ev.readable || ev.closed {
+            self.read_upstream(reactor, shard);
+        }
+        if ev.writable {
+            self.flush_upstream(reactor, shard);
         }
     }
+}
 
-    /// Flushes a client connection as far as the socket allows (ready
-    /// prefix of the slot queue → write buffer → socket) and retunes poll
-    /// interest — the byte-forwarding twin of the serve loop's `advance`.
-    fn advance_client(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        while let Some(front) = conn.pending.front_mut() {
-            match &mut front.state {
-                SlotState::Waiting => break,
-                SlotState::Ready(frame) => {
-                    conn.wbuf.append(frame);
-                    conn.pending.pop_front();
-                }
-            }
-        }
-        let mut written = 0;
-        while written < conn.wbuf.len() {
-            match conn.stream.write(&conn.wbuf[written..]) {
-                Ok(0) => {
-                    self.close_conn(token);
-                    return;
-                }
-                Ok(n) => {
-                    written += n;
-                    conn.last_activity = Instant::now();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close_conn(token);
-                    return;
-                }
-            }
-        }
-        conn.wbuf.drain(..written);
-        if conn.close_after_flush && conn.wbuf.is_empty() && conn.pending.is_empty() {
-            self.close_conn(token);
-            return;
-        }
-        let want = Interest {
-            read: !conn.close_after_flush,
-            write: !conn.wbuf.is_empty(),
-        };
-        if want != conn.interest {
-            conn.interest = want;
-            if self
-                .poller
-                .modify(conn.stream.as_raw_fd(), token, want)
-                .is_err()
-            {
-                self.close_conn(token);
-            }
-        }
-    }
-
-    fn close_conn(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            let _ = self.poller.delete(conn.stream.as_raw_fd());
-        }
-    }
-
-    fn sweep_idle(&mut self) {
-        let now = Instant::now();
-        let timeout = self.shared.timeout;
-        let expired: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.idle() && now.duration_since(c.last_activity) > timeout)
-            .map(|(&t, _)| t)
-            .collect();
-        for token in expired {
-            self.close_conn(token);
-        }
-    }
-
-    // -- shard side ---------------------------------------------------------
-
+impl RouterTier {
     /// Forwards `pending` to the first reachable shard on its key's ring
     /// walk, skipping shards it already tried. When the chosen shard is not
     /// the key's owner, that is a failover. When no shard is reachable, the
     /// client gets an error frame — the only case a routed request fails.
-    fn dispatch(&mut self, mut pending: Pending, touched: &mut Vec<u64>) {
+    fn dispatch(&mut self, reactor: &mut Reactor, mut pending: Pending) {
         let order = self.ring.successors(pending.fp);
         let primary = order[0];
         for shard in order {
             if pending.tried.contains(&shard) {
                 continue;
             }
-            if !self.ensure_connected(shard) {
+            if !self.ensure_connected(reactor, shard) {
                 continue;
             }
             pending.tried.push(shard);
@@ -665,23 +334,19 @@ impl RouterLoop {
             let up = &mut self.upstreams[shard];
             up.wbuf.extend_from_slice(&pending.frame);
             up.inflight.push_back(pending);
-            self.flush_upstream(shard, touched);
+            self.flush_upstream(reactor, shard);
             return;
         }
-        touched.push(pending.conn);
-        self.fill_slot(
-            pending.conn,
-            pending.slot,
-            encode_frame(&error_response(
-                "no shard reachable for this request",
-                false,
-            )),
-        );
+        let frame = encode_frame(&error_response(
+            "no shard reachable for this request",
+            false,
+        ));
+        reactor.fill_slot(pending.conn, pending.slot, frame);
     }
 
     /// Dials the shard if needed. Returns `false` while it is quarantined
     /// or the dial fails (which starts/extends the quarantine).
-    fn ensure_connected(&mut self, shard: usize) -> bool {
+    fn ensure_connected(&mut self, reactor: &Reactor, shard: usize) -> bool {
         if self.upstreams[shard].stream.is_some() {
             return true;
         }
@@ -696,9 +361,9 @@ impl RouterLoop {
         match stream {
             Ok(s) => {
                 let _ = s.set_nodelay(true);
-                let token = TOKEN_UPSTREAM_BASE + shard as u64;
-                if self
-                    .poller
+                let token = TOKEN_TIER_BASE + shard as u64;
+                if reactor
+                    .poller()
                     .add(s.as_raw_fd(), token, Interest::READ)
                     .is_err()
                 {
@@ -734,21 +399,20 @@ impl RouterLoop {
 
     /// Tears down a failed shard connection and re-dispatches everything in
     /// flight on it down each key's ring walk — the mid-frame-death path.
-    fn upstream_failed(&mut self, shard: usize, touched: &mut Vec<u64>) {
+    fn upstream_failed(&mut self, reactor: &mut Reactor, shard: usize) {
         if let Some(s) = self.upstreams[shard].stream.take() {
-            let _ = self.poller.delete(s.as_raw_fd());
+            let _ = reactor.poller().delete(s.as_raw_fd());
         }
         self.upstreams[shard].rbuf.clear();
         self.upstreams[shard].wbuf.clear();
         self.mark_down(shard);
         let stranded: Vec<Pending> = self.upstreams[shard].inflight.drain(..).collect();
         for p in stranded {
-            touched.push(p.conn);
-            self.dispatch(p, touched);
+            self.dispatch(reactor, p);
         }
     }
 
-    fn read_upstream(&mut self, shard: usize, touched: &mut Vec<u64>) {
+    fn read_upstream(&mut self, reactor: &mut Reactor, shard: usize) {
         let Some(up) = self.upstreams.get_mut(shard) else {
             return;
         };
@@ -761,24 +425,24 @@ impl RouterLoop {
                 Ok(0) => {
                     // The shard closed (or died); everything in flight on it
                     // must be re-routed.
-                    self.upstream_failed(shard, touched);
+                    self.upstream_failed(reactor, shard);
                     return;
                 }
                 Ok(n) => up.rbuf.extend_from_slice(&chunk[..n]),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    self.upstream_failed(shard, touched);
+                    self.upstream_failed(reactor, shard);
                     return;
                 }
             }
         }
-        self.pair_upstream_frames(shard, touched);
+        self.pair_upstream_frames(reactor, shard);
     }
 
     /// Pairs complete response frames with the shard's in-flight queue
     /// front — shards answer strictly in order, so position is identity.
-    fn pair_upstream_frames(&mut self, shard: usize, touched: &mut Vec<u64>) {
+    fn pair_upstream_frames(&mut self, reactor: &mut Reactor, shard: usize) {
         let mut consumed = 0;
         loop {
             let up = &self.upstreams[shard];
@@ -787,24 +451,23 @@ impl RouterLoop {
                 Decoded::Oversized(_) => {
                     // A shard violating framing cannot be trusted for the
                     // rest of the stream either.
-                    self.upstream_failed(shard, touched);
+                    self.upstream_failed(reactor, shard);
                     return;
                 }
                 Decoded::Complete(n, _frame) => {
                     let raw = up.rbuf[consumed..consumed + n].to_vec();
                     consumed += n;
-                    if let Some(p) = self.upstreams[shard].inflight.pop_front() {
-                        touched.push(p.conn);
-                        self.fill_slot(p.conn, p.slot, raw);
-                    }
                     // An unsolicited frame (no pending request) is dropped.
+                    if let Some(p) = self.upstreams[shard].inflight.pop_front() {
+                        reactor.fill_slot(p.conn, p.slot, raw);
+                    }
                 }
             }
         }
         self.upstreams[shard].rbuf.drain(..consumed);
     }
 
-    fn flush_upstream(&mut self, shard: usize, touched: &mut Vec<u64>) {
+    fn flush_upstream(&mut self, reactor: &mut Reactor, shard: usize) {
         let Some(up) = self.upstreams.get_mut(shard) else {
             return;
         };
@@ -815,14 +478,14 @@ impl RouterLoop {
         while written < up.wbuf.len() {
             match stream.write(&up.wbuf[written..]) {
                 Ok(0) => {
-                    self.upstream_failed(shard, touched);
+                    self.upstream_failed(reactor, shard);
                     return;
                 }
                 Ok(n) => written += n,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    self.upstream_failed(shard, touched);
+                    self.upstream_failed(reactor, shard);
                     return;
                 }
             }
@@ -835,9 +498,9 @@ impl RouterLoop {
         };
         if want != up.interest {
             up.interest = want;
-            let token = TOKEN_UPSTREAM_BASE + shard as u64;
-            if self.poller.modify(fd, token, want).is_err() {
-                self.upstream_failed(shard, touched);
+            let token = TOKEN_TIER_BASE + shard as u64;
+            if reactor.poller().modify(fd, token, want).is_err() {
+                self.upstream_failed(reactor, shard);
             }
         }
     }
@@ -923,25 +586,13 @@ impl Router {
     /// [`WacoError::Io`] when the bind or poller creation fails.
     pub fn start(config: RouterConfig) -> Result<Router, WacoError> {
         let _span = waco_obs::span("serve.route.start");
-        let listener = TcpListener::bind(config.addr)
-            .map_err(|e| WacoError::io(format!("binding {}", config.addr), e))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| WacoError::io("setting listener nonblocking", e))?;
-        let local_addr = listener
-            .local_addr()
-            .map_err(|e| WacoError::io("reading bound address", e))?;
-
-        let (waker, wake_rx) =
-            wake_pair().map_err(|e| WacoError::io("creating router waker", e))?;
-        let poller = Poller::new().map_err(|e| WacoError::io("creating poller", e))?;
-        poller
-            .add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)
-            .map_err(|e| WacoError::io("registering listener", e))?;
-        poller
-            .add(wake_rx.as_raw_fd(), TOKEN_WAKER, Interest::READ)
-            .map_err(|e| WacoError::io("registering waker", e))?;
-
+        let (mut reactor, waker, local_addr) = Reactor::bind(
+            config.addr,
+            config.shards.len() as u64,
+            config.max_connections,
+            config.timeout,
+            "router busy: connection limit reached",
+        )?;
         let shared = Arc::new(RouterShared {
             shutdown: AtomicBool::new(false),
             requests: AtomicU64::new(0),
@@ -950,9 +601,7 @@ impl Router {
             shard_down: AtomicU64::new(0),
             reconnects: AtomicU64::new(0),
             waker,
-            timeout: config.timeout,
         });
-
         let upstreams: Vec<Upstream> = config
             .shards
             .iter()
@@ -966,26 +615,14 @@ impl Router {
                 interest: Interest::READ,
             })
             .collect();
-        let ring = HashRing::with_vnodes(upstreams.len(), config.vnodes);
-
-        let thread = {
-            let shared = Arc::clone(&shared);
-            let client_base = TOKEN_UPSTREAM_BASE + upstreams.len() as u64;
-            std::thread::spawn(move || {
-                let mut rl = RouterLoop {
-                    shared,
-                    ring,
-                    poller,
-                    listener: Some(listener),
-                    wake_rx,
-                    upstreams,
-                    conns: HashMap::new(),
-                    next_token: client_base,
-                    max_connections: config.max_connections,
-                };
-                rl.run();
-            })
+        let mut tier = RouterTier {
+            shared: Arc::clone(&shared),
+            ring: HashRing::with_vnodes(upstreams.len(), config.vnodes),
+            upstreams,
         };
+        // Shard connections drop with `tier` when the loop exits; the shards
+        // keep running.
+        let thread = std::thread::spawn(move || reactor.run(&mut tier));
 
         Ok(Router {
             shared,

@@ -1,27 +1,25 @@
-//! The request loop: a nonblocking, epoll-multiplexed localhost listener
-//! with pipelined framing, off-loop tune execution, and in-flight tune
-//! coalescing.
+//! The tuning server: the serve tier of the connection reactor, with
+//! off-loop tune execution and in-flight tune coalescing.
 //!
 //! Life of a request:
 //!
-//! 1. A single event-loop thread owns the listener and every connection
-//!    (capped by [`ServeConfigBuilder::queue_depth`]; beyond the cap a
-//!    connection is answered with a `busy` error frame and closed). All
-//!    sockets are nonblocking; readiness comes from
-//!    [`waco_runtime::poll::Poller`].
-//! 2. Complete frames are decoded straight out of each connection's read
-//!    buffer, so a connection may pipeline many requests; responses are
-//!    queued per connection and always flushed in request order.
-//! 3. Cheap verbs (`stats`, `shutdown`, malformed bodies) are answered on
-//!    the loop. `tune`/`lookup` ship to a small executor pool
-//!    ([`ServeConfigBuilder::workers`] threads) so matrix parsing and
-//!    tuning never stall the loop.
-//! 4. **Coalescing:** concurrent `tune` misses for the same
+//! 1. The reactor's single event-loop thread owns the listener and every
+//!    connection (capped by [`ServeConfigBuilder::queue_depth`]; beyond the
+//!    cap a connection is answered with a `busy` error frame and closed),
+//!    decodes pipelined frames, and flushes each connection's responses in
+//!    request order.
+//! 2. Cheap verbs (`stats`, `shutdown`, malformed bodies) are answered on
+//!    the loop. `tune`/`lookup`/`sync` reserve a response slot and ship to a
+//!    small executor pool ([`ServeConfigBuilder::workers`] threads), so
+//!    matrix parsing, tuning and journal reads never stall the loop. An
+//!    executor encodes its response frame and hands it back through a
+//!    completion queue plus the reactor's waker.
+//! 3. **Coalescing:** concurrent `tune` misses for the same
 //!    `(fingerprint, kernel, dense extent)` key register as waiters on the
 //!    first in-flight tune; the single result answers all of them. Each
 //!    waiter increments `serve.tune.coalesced` — under a load spike for one
 //!    hot matrix, the tuner runs once.
-//! 5. A `shutdown` request (or [`Server::begin_shutdown`]) closes the
+//! 4. A `shutdown` request (or [`Server::begin_shutdown`]) closes the
 //!    listener; the loop drains once every connection is gone, executors
 //!    drain their queue, and [`Server::wait`] joins everything and syncs
 //!    the journal.
@@ -32,30 +30,28 @@
 //! reports an always-on latency histogram (p50/p99) and cache / plan-cache
 //! hit rates.
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::io::AsRawFd;
+use std::collections::HashMap;
+use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use waco_core::WacoError;
-use waco_runtime::poll::{wake_pair, Interest, Poller, WakeReceiver, Waker};
+use waco_runtime::poll::Waker;
 use waco_runtime::ThreadPool;
 use waco_schedule::Kernel;
-use waco_tensor::io::read_matrix_market;
 
 use crate::cache::{Decision, TuningCache};
 use crate::fingerprint::{fnv1a64, Fingerprint};
 use crate::json::Json;
 use crate::protocol::{
-    decode_frame, encode_frame, error_response, lookup_response, sync_response, tune_response,
-    Decoded, Frame, Request, SyncRecord,
+    encode_frame, error_response, lookup_response, parse_and_fingerprint, sync_response,
+    tune_response, Request, SyncRecord,
 };
+use crate::reactor::{Reactor, Tier};
 use crate::tuner::Tuner;
 
 /// Records per `sync` response frame. Small enough that one frame stays far
@@ -309,11 +305,12 @@ struct Waiter {
     started: Instant,
 }
 
-/// A finished off-loop response on its way back to the event loop.
+/// A finished off-loop response, already encoded, on its way back to the
+/// event loop.
 struct Completion {
     conn: u64,
     slot: u64,
-    body: Json,
+    frame: Vec<u8>,
     started: Instant,
 }
 
@@ -344,16 +341,12 @@ struct Shared {
     tuner: Arc<dyn Tuner>,
     shutdown: AtomicBool,
     requests: AtomicU64,
-    busy_rejects: AtomicU64,
-    timeout_rejects: AtomicU64,
-    connections: AtomicUsize,
     tune_calls: AtomicU64,
     coalesced: AtomicU64,
     latency: LatencyHist,
     inflight: Mutex<HashMap<InflightKey, Vec<Waiter>>>,
     completions: Mutex<Vec<Completion>>,
     waker: Waker,
-    timeout: Duration,
 }
 
 impl Shared {
@@ -503,28 +496,30 @@ fn handle_matrix_job(
         }
     };
 
-    // Deliver the one result to the owner and every coalesced waiter.
+    // Deliver the one encoded result to the owner and every coalesced
+    // waiter.
     let waiters = shared
         .inflight
         .lock()
         .expect("inflight lock poisoned")
         .remove(&key)
         .unwrap_or_default();
-    let mut batch = Vec::with_capacity(1 + waiters.len());
+    let frame = encode_frame(&response);
+    let mut batch: Vec<Completion> = waiters
+        .into_iter()
+        .map(|w| Completion {
+            conn: w.conn,
+            slot: w.slot,
+            frame: frame.clone(),
+            started: w.started,
+        })
+        .collect();
     batch.push(Completion {
         conn: job.conn,
         slot: job.slot,
-        body: response.clone(),
+        frame,
         started: job.started,
     });
-    for w in waiters {
-        batch.push(Completion {
-            conn: w.conn,
-            slot: w.slot,
-            body: response.clone(),
-            started: w.started,
-        });
-    }
     shared.complete_all(batch);
 }
 
@@ -532,474 +527,111 @@ fn complete_one(shared: &Shared, job: &Job, body: Json) {
     shared.complete_all(vec![Completion {
         conn: job.conn,
         slot: job.slot,
-        body,
+        frame: encode_frame(&body),
         started: job.started,
     }]);
 }
 
-pub(crate) fn parse_and_fingerprint(
-    matrix: &str,
-) -> Result<(waco_tensor::CooMatrix, Fingerprint), String> {
-    let m =
-        read_matrix_market(matrix.as_bytes()).map_err(|e| format!("parsing inline matrix: {e}"))?;
-    let fp = Fingerprint::of_matrix(&m);
-    Ok((m, fp))
-}
-
 // ---------------------------------------------------------------------------
-// The event loop
+// The server's tier of the reactor
 // ---------------------------------------------------------------------------
 
-const TOKEN_LISTENER: u64 = 0;
-const TOKEN_WAKER: u64 = 1;
-const TOKEN_BASE: u64 = 2;
-
-/// A response slot: responses flush strictly in request order, so a slot
-/// holds either a finished body or a placeholder for an off-loop request.
-enum SlotState {
-    Waiting,
-    Ready(Json),
-}
-
-struct Slot {
-    id: u64,
-    state: SlotState,
-}
-
-struct Conn {
-    stream: TcpStream,
-    rbuf: Vec<u8>,
-    wbuf: Vec<u8>,
-    pending: VecDeque<Slot>,
-    next_slot: u64,
-    last_activity: Instant,
-    close_after_flush: bool,
-    interest: Interest,
-}
-
-impl Conn {
-    fn push_ready(&mut self, body: &Json) {
-        let id = self.next_slot;
-        self.next_slot += 1;
-        self.pending.push_back(Slot {
-            id,
-            state: SlotState::Ready(body.clone()),
-        });
-    }
-
-    fn push_waiting(&mut self) -> u64 {
-        let id = self.next_slot;
-        self.next_slot += 1;
-        self.pending.push_back(Slot {
-            id,
-            state: SlotState::Waiting,
-        });
-        id
-    }
-
-    /// Whether the idle sweeper may close this connection: nothing buffered
-    /// to write and no response in flight.
-    fn idle(&self) -> bool {
-        self.pending.is_empty() && self.wbuf.is_empty()
-    }
-}
-
-struct EventLoop {
+/// What the server plugs into the [`Reactor`]: cheap verbs answered on the
+/// loop, `tune`/`lookup`/`sync` shipped to the executors, and their
+/// completions drained back into the reserved slots once per turn.
+struct ServerTier {
     shared: Arc<Shared>,
-    poller: Poller,
-    listener: Option<TcpListener>,
-    wake_rx: WakeReceiver,
-    conns: HashMap<u64, Conn>,
-    next_token: u64,
     jobs: Sender<Job>,
-    max_connections: usize,
 }
 
-impl EventLoop {
-    fn run(&mut self) {
-        let mut events = Vec::new();
-        loop {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                if let Some(l) = self.listener.take() {
-                    let _ = self.poller.delete(l.as_raw_fd());
-                }
-            }
-            if self.listener.is_none() && self.conns.is_empty() {
-                return;
-            }
-            let timeout = self.wait_budget();
-            if self.poller.wait(&mut events, timeout).is_err() {
-                return; // poller failure is unrecoverable
-            }
-            let mut touched = Vec::new();
-            for ev in events.iter() {
-                match ev.token {
-                    TOKEN_LISTENER => self.accept_all(&mut touched),
-                    TOKEN_WAKER => self.wake_rx.drain(),
-                    token => {
-                        if ev.readable && self.conns.contains_key(&token) {
-                            self.read_conn(token);
-                        }
-                        touched.push(token);
-                    }
-                }
-            }
-            touched.extend(self.drain_completions());
-            touched.sort_unstable();
-            touched.dedup();
-            for token in touched {
-                self.advance(token);
-            }
-            self.sweep_idle();
-        }
+impl Tier for ServerTier {
+    fn draining(&self) -> bool {
+        self.shared.shutdown.load(Ordering::SeqCst)
     }
 
-    /// How long the poll wait may block: until the earliest idle deadline
-    /// among closable connections, capped to a 1 s heartbeat whenever any
-    /// connection exists (so stuck flushes cannot wedge the loop), and
-    /// unbounded only for an idle listener.
-    fn wait_budget(&self) -> Option<Duration> {
-        if self.conns.is_empty() {
-            return None;
-        }
-        let now = Instant::now();
-        let mut budget = Duration::from_secs(1);
-        for c in self.conns.values() {
-            if c.idle() {
-                let deadline = c.last_activity + self.shared.timeout;
-                let remaining = deadline.saturating_duration_since(now);
-                budget = budget.min(remaining.max(Duration::from_millis(10)));
-            }
-        }
-        Some(budget)
-    }
-
-    fn accept_all(&mut self, touched: &mut Vec<u64>) {
-        loop {
-            let Some(listener) = self.listener.as_ref() else {
-                return;
-            };
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    let mut conn = Conn {
-                        stream,
-                        rbuf: Vec::new(),
-                        wbuf: Vec::new(),
-                        pending: VecDeque::new(),
-                        next_slot: 0,
-                        last_activity: Instant::now(),
-                        close_after_flush: false,
-                        interest: Interest::READ,
-                    };
-                    if self.conns.len() >= self.max_connections {
-                        // Over the connection cap: answer busy and close.
-                        self.shared.busy_rejects.fetch_add(1, Ordering::Relaxed);
-                        waco_obs::counter("serve.rejected_busy", 1);
-                        conn.push_ready(&error_response(
-                            "server busy: connection limit reached",
-                            true,
-                        ));
-                        conn.close_after_flush = true;
-                    }
-                    if self
-                        .poller
-                        .add(conn.stream.as_raw_fd(), token, conn.interest)
-                        .is_err()
-                    {
-                        continue; // the stream drops and resets the peer
-                    }
-                    self.conns.insert(token, conn);
-                    self.shared
-                        .connections
-                        .store(self.conns.len(), Ordering::Relaxed);
-                    touched.push(token);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
-        }
-    }
-
-    fn read_conn(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let mut chunk = [0u8; 16 * 1024];
-        loop {
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    // Peer closed; any response still in flight has nobody
-                    // left to read it.
-                    self.close_conn(token);
-                    return;
-                }
-                Ok(n) => {
-                    conn.rbuf.extend_from_slice(&chunk[..n]);
-                    conn.last_activity = Instant::now();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close_conn(token);
-                    return;
-                }
-            }
-        }
-        self.parse_frames(token);
-    }
-
-    fn parse_frames(&mut self, token: u64) {
-        let mut consumed = 0;
-        loop {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return;
-            };
-            if conn.close_after_flush {
-                break; // framing lost or draining: ignore the tail
-            }
-            match decode_frame(&conn.rbuf[consumed..]) {
-                Decoded::Incomplete => break,
-                Decoded::Oversized(msg) => {
-                    // Answer, then close: the connection cannot be re-synced.
-                    conn.push_ready(&error_response(&msg, false));
-                    conn.close_after_flush = true;
-                    break;
-                }
-                Decoded::Complete(n, frame) => {
-                    consumed += n;
-                    match frame {
-                        Frame::Malformed(msg) => {
-                            // Framing is intact: answer and keep serving.
-                            conn.push_ready(&error_response(&msg, false));
-                        }
-                        Frame::Body(body) => self.handle_request(token, &body),
-                    }
-                }
-            }
-        }
-        if let Some(conn) = self.conns.get_mut(&token) {
-            conn.rbuf.drain(..consumed);
-        }
-    }
-
-    fn handle_request(&mut self, token: u64, body: &Json) {
+    fn request(&mut self, reactor: &mut Reactor, token: u64, body: &Json, _raw: &[u8]) {
         self.shared.requests.fetch_add(1, Ordering::Relaxed);
         waco_obs::counter("serve.requests", 1);
         let started = Instant::now();
         let req = match Request::from_json(body) {
             Ok(r) => r,
-            Err(e) => {
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.push_ready(&error_response(&e.to_string(), false));
-                }
-                return;
-            }
+            Err(e) => return reactor.respond(token, &error_response(&e.to_string(), false)),
         };
-        let lookup_only = matches!(req, Request::Lookup { .. });
-        match req {
-            Request::Sync { offset } => {
-                let Some(conn) = self.conns.get_mut(&token) else {
-                    return;
-                };
-                let slot = conn.push_waiting();
-                let job = Job {
-                    conn: token,
-                    slot,
-                    kind: JobKind::Sync { offset },
-                    started,
-                };
-                if self.jobs.send(job).is_err() {
-                    self.fill_slot(
-                        token,
-                        slot,
-                        &error_response("server is shutting down", false),
-                    );
-                }
-            }
+        let kind = match req {
             Request::Stats => {
                 let _span = waco_obs::span("serve.request.stats");
-                let response = stats_response(&self.shared);
+                let response = stats_response(&self.shared, reactor);
                 self.record_latency(started);
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.push_ready(&response);
-                }
+                return reactor.respond(token, &response);
             }
             Request::Shutdown => {
                 let _span = waco_obs::span("serve.request.shutdown");
                 self.record_latency(started);
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.push_ready(&Json::obj([
-                        ("ok", Json::Bool(true)),
-                        ("draining", Json::Bool(true)),
-                    ]));
-                    conn.close_after_flush = true;
-                }
-                self.shared.begin_shutdown();
+                reactor.respond(
+                    token,
+                    &Json::obj([("ok", Json::Bool(true)), ("draining", Json::Bool(true))]),
+                );
+                reactor.close_after_flush(token);
+                return self.shared.begin_shutdown();
             }
+            Request::Sync { offset } => JobKind::Sync { offset },
             Request::Tune {
                 kernel,
                 dense_extent,
                 matrix,
-            }
-            | Request::Lookup {
+            } => JobKind::Matrix {
+                lookup_only: false,
                 kernel,
                 dense_extent,
                 matrix,
-            } => {
-                let Some(conn) = self.conns.get_mut(&token) else {
-                    return;
-                };
-                let slot = conn.push_waiting();
-                let job = Job {
-                    conn: token,
-                    slot,
-                    kind: JobKind::Matrix {
-                        lookup_only,
-                        kernel,
-                        dense_extent,
-                        matrix,
-                    },
-                    started,
-                };
-                if self.jobs.send(job).is_err() {
-                    // Executors are gone (shutdown race): fail the slot.
-                    self.fill_slot(
-                        token,
-                        slot,
-                        &error_response("server is shutting down", false),
-                    );
-                }
-            }
+            },
+            Request::Lookup {
+                kernel,
+                dense_extent,
+                matrix,
+            } => JobKind::Matrix {
+                lookup_only: true,
+                kernel,
+                dense_extent,
+                matrix,
+            },
+        };
+        let Some(slot) = reactor.push_waiting(token) else {
+            return;
+        };
+        let job = Job {
+            conn: token,
+            slot,
+            kind,
+            started,
+        };
+        if self.jobs.send(job).is_err() {
+            // Executors are gone (shutdown race): fail the slot.
+            let frame = encode_frame(&error_response("server is shutting down", false));
+            reactor.fill_slot(token, slot, frame);
         }
     }
 
+    fn turn(&mut self, reactor: &mut Reactor) {
+        let batch = std::mem::take(
+            &mut *self
+                .shared
+                .completions
+                .lock()
+                .expect("completion lock poisoned"),
+        );
+        for c in batch {
+            self.record_latency(c.started);
+            reactor.fill_slot(c.conn, c.slot, c.frame);
+        }
+    }
+}
+
+impl ServerTier {
     fn record_latency(&self, started: Instant) {
         let elapsed = started.elapsed();
         self.shared.latency.record(elapsed);
         waco_obs::record("serve.request_seconds", elapsed.as_secs_f64());
-    }
-
-    fn drain_completions(&mut self) -> Vec<u64> {
-        let batch: Vec<Completion> = {
-            let mut guard = self
-                .shared
-                .completions
-                .lock()
-                .expect("completion lock poisoned");
-            std::mem::take(&mut *guard)
-        };
-        let mut touched = Vec::with_capacity(batch.len());
-        for c in batch {
-            let elapsed = c.started.elapsed();
-            self.shared.latency.record(elapsed);
-            waco_obs::record("serve.request_seconds", elapsed.as_secs_f64());
-            self.fill_slot(c.conn, c.slot, &c.body);
-            touched.push(c.conn);
-        }
-        touched
-    }
-
-    fn fill_slot(&mut self, token: u64, slot: u64, body: &Json) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return; // connection closed while the response was in flight
-        };
-        if let Some(s) = conn.pending.iter_mut().find(|s| s.id == slot) {
-            s.state = SlotState::Ready(body.clone());
-        }
-    }
-
-    /// Flushes a connection as far as the socket allows: encode the ready
-    /// prefix of the slot queue, write, and retune poll interest.
-    fn advance(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        while let Some(front) = conn.pending.front() {
-            match &front.state {
-                SlotState::Waiting => break,
-                SlotState::Ready(body) => {
-                    conn.wbuf.extend_from_slice(&encode_frame(body));
-                    conn.pending.pop_front();
-                }
-            }
-        }
-        let mut written = 0;
-        while written < conn.wbuf.len() {
-            match conn.stream.write(&conn.wbuf[written..]) {
-                Ok(0) => {
-                    self.close_conn(token);
-                    return;
-                }
-                Ok(n) => {
-                    written += n;
-                    conn.last_activity = Instant::now();
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close_conn(token);
-                    return;
-                }
-            }
-        }
-        conn.wbuf.drain(..written);
-        if conn.close_after_flush && conn.wbuf.is_empty() && conn.pending.is_empty() {
-            self.close_conn(token);
-            return;
-        }
-        let want = Interest {
-            read: !conn.close_after_flush,
-            write: !conn.wbuf.is_empty(),
-        };
-        if want != conn.interest {
-            conn.interest = want;
-            if self
-                .poller
-                .modify(conn.stream.as_raw_fd(), token, want)
-                .is_err()
-            {
-                self.close_conn(token);
-            }
-        }
-    }
-
-    fn close_conn(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            let _ = self.poller.delete(conn.stream.as_raw_fd());
-        }
-        self.shared
-            .connections
-            .store(self.conns.len(), Ordering::Relaxed);
-    }
-
-    /// Closes connections idle past the timeout. A half-received frame at
-    /// expiry counts as a timed-out request (`serve.rejected_timeout`) —
-    /// this is what unwedges the loop from peers that die mid-frame.
-    fn sweep_idle(&mut self) {
-        let now = Instant::now();
-        let timeout = self.shared.timeout;
-        let expired: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.idle() && now.duration_since(c.last_activity) > timeout)
-            .map(|(&t, _)| t)
-            .collect();
-        for token in expired {
-            if let Some(conn) = self.conns.get(&token) {
-                if !conn.rbuf.is_empty() {
-                    self.shared.timeout_rejects.fetch_add(1, Ordering::Relaxed);
-                    waco_obs::counter("serve.rejected_timeout", 1);
-                }
-            }
-            self.close_conn(token);
-        }
     }
 }
 
@@ -1037,40 +669,25 @@ impl Server {
             config.cache_dir.join("tuning.journal"),
             config.cache_capacity,
         )?;
-        let listener = TcpListener::bind(config.addr)
-            .map_err(|e| WacoError::io(format!("binding {}", config.addr), e))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| WacoError::io("setting listener nonblocking", e))?;
-        let local_addr = listener
-            .local_addr()
-            .map_err(|e| WacoError::io("reading bound address", e))?;
-
-        let (waker, wake_rx) =
-            wake_pair().map_err(|e| WacoError::io("creating event-loop waker", e))?;
-        let poller = Poller::new().map_err(|e| WacoError::io("creating poller", e))?;
-        poller
-            .add(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)
-            .map_err(|e| WacoError::io("registering listener", e))?;
-        poller
-            .add(wake_rx.as_raw_fd(), TOKEN_WAKER, Interest::READ)
-            .map_err(|e| WacoError::io("registering waker", e))?;
+        let (mut reactor, waker, local_addr) = Reactor::bind(
+            config.addr,
+            0,
+            config.queue_depth,
+            config.timeout,
+            "server busy: connection limit reached",
+        )?;
 
         let shared = Arc::new(Shared {
             cache,
             tuner,
             shutdown: AtomicBool::new(false),
             requests: AtomicU64::new(0),
-            busy_rejects: AtomicU64::new(0),
-            timeout_rejects: AtomicU64::new(0),
-            connections: AtomicUsize::new(0),
             tune_calls: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             latency: LatencyHist::new(),
             inflight: Mutex::new(HashMap::new()),
             completions: Mutex::new(Vec::new()),
             waker,
-            timeout: config.timeout,
         });
 
         let (jobs_tx, jobs_rx) = channel::<Job>();
@@ -1082,24 +699,13 @@ impl Server {
             executors.push(std::thread::spawn(move || executor_loop(&shared, &rx)));
         }
 
-        let event_loop = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || {
-                let mut el = EventLoop {
-                    max_connections: config.queue_depth,
-                    shared,
-                    poller,
-                    listener: Some(listener),
-                    wake_rx,
-                    conns: HashMap::new(),
-                    next_token: TOKEN_BASE,
-                    jobs: jobs_tx,
-                };
-                el.run();
-                // Dropping `el` drops the job sender; executors drain the
-                // queue (late completions go nowhere) and exit.
-            })
+        let mut tier = ServerTier {
+            shared: Arc::clone(&shared),
+            jobs: jobs_tx,
         };
+        // When the loop returns, dropping `tier` drops the job sender;
+        // executors drain the queue (late completions go nowhere) and exit.
+        let event_loop = std::thread::spawn(move || reactor.run(&mut tier));
 
         Ok(Server {
             shared,
@@ -1149,7 +755,7 @@ fn rate(hits: u64, misses: u64) -> f64 {
     }
 }
 
-fn stats_response(shared: &Shared) -> Json {
+fn stats_response(shared: &Shared, reactor: &Reactor) -> Json {
     let cache = shared.cache.stats();
     let mut fields = vec![
         ("ok", Json::Bool(true)),
@@ -1172,18 +778,12 @@ fn stats_response(shared: &Shared) -> Json {
                     "requests",
                     Json::num(shared.requests.load(Ordering::Relaxed) as f64),
                 ),
-                (
-                    "rejected_busy",
-                    Json::num(shared.busy_rejects.load(Ordering::Relaxed) as f64),
-                ),
+                ("rejected_busy", Json::num(reactor.rejected_busy() as f64)),
                 (
                     "rejected_timeout",
-                    Json::num(shared.timeout_rejects.load(Ordering::Relaxed) as f64),
+                    Json::num(reactor.rejected_timeout() as f64),
                 ),
-                (
-                    "connections",
-                    Json::num(shared.connections.load(Ordering::Relaxed) as f64),
-                ),
+                ("connections", Json::num(reactor.connections() as f64)),
                 (
                     "tune_calls",
                     Json::num(shared.tune_calls.load(Ordering::Relaxed) as f64),

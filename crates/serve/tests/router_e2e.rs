@@ -5,12 +5,13 @@
 //! fake shard that tags its replies is enough to observe exactly which shard
 //! answered and in what order the client saw it.
 
-use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener};
+use std::io::{Read as _, Write as _};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use waco_serve::protocol::{read_frame, request_json, write_frame};
+use waco_serve::protocol::{read_frame, request_json, write_frame, MAX_FRAME_LEN};
+use waco_serve::router::RouterConfigBuilder;
 use waco_serve::{Client, Fingerprint, HashRing, Json, Router, RouterConfig};
 use waco_tensor::gen::{self, Rng64};
 use waco_tensor::io::write_matrix_market;
@@ -87,6 +88,55 @@ fn start_router(shards: &[SocketAddr]) -> Router {
     Router::start(b.build().unwrap()).unwrap()
 }
 
+/// An address that refuses connections: bound once, then dropped.
+fn dead_addr() -> SocketAddr {
+    let l = TcpListener::bind("127.0.0.1:0").unwrap();
+    l.local_addr().unwrap()
+}
+
+/// A router over one dead shard, configured by `tweak`. The negative paths
+/// below are all answered by the router itself, so no shard is ever dialed.
+fn start_shardless_router(
+    tweak: impl FnOnce(RouterConfigBuilder) -> RouterConfigBuilder,
+) -> Router {
+    let b = RouterConfig::builder()
+        .addr("127.0.0.1:0")
+        .shard(dead_addr().to_string());
+    Router::start(tweak(b).build().unwrap()).unwrap()
+}
+
+fn raw_connect(router: &Router) -> TcpStream {
+    let s = TcpStream::connect(router.local_addr()).unwrap();
+    s.set_read_timeout(Some(TIMEOUT)).unwrap();
+    s
+}
+
+fn read_error_reply(stream: &mut TcpStream) -> Json {
+    let reply = read_frame(stream)
+        .unwrap()
+        .expect("router must answer with a frame, not a bare disconnect");
+    assert_eq!(reply.get("ok").and_then(|v| v.as_bool()), Some(false));
+    reply
+}
+
+fn error_text(reply: &Json) -> &str {
+    reply.get("error").and_then(|v| v.as_str()).unwrap()
+}
+
+/// Asserts the peer closed the connection: the next read sees EOF.
+fn assert_closed(stream: &mut TcpStream) {
+    let mut byte = [0u8; 1];
+    let n = stream
+        .read(&mut byte)
+        .expect("router must close the connection, not leave it hanging");
+    assert_eq!(n, 0, "expected EOF, got a byte");
+}
+
+fn stop(router: Router) {
+    router.begin_shutdown();
+    router.wait();
+}
+
 #[test]
 fn pipelined_responses_come_back_in_request_order() {
     // Shard 0 is slow, shard 1 instant. A slow-fast-slow pipeline must still
@@ -121,12 +171,8 @@ fn dead_primary_fails_over_to_ring_successor() {
     // Shard 0's address is bound once and dropped: connecting is refused.
     // Requests owned by shard 0 must be answered by shard 1, and the router
     // must account the detour.
-    let dead_addr = {
-        let l = TcpListener::bind("127.0.0.1:0").unwrap();
-        l.local_addr().unwrap()
-    };
     let live = spawn_fake_shard(1, Duration::ZERO);
-    let router = start_router(&[dead_addr, live.addr]);
+    let router = start_router(&[dead_addr(), live.addr]);
 
     let to_dead = request_routed_to(2, 0);
     let mut client = Client::connect(&router.local_addr().to_string(), TIMEOUT).unwrap();
@@ -154,4 +200,77 @@ fn dead_primary_fails_over_to_ring_successor() {
     router.begin_shutdown();
     router.wait();
     let _ = live.stop.send(());
+}
+
+#[test]
+fn oversized_length_prefix_is_answered_then_closed() {
+    let router = start_shardless_router(|b| b);
+    let mut s = raw_connect(&router);
+    s.write_all(&(MAX_FRAME_LEN + 7).to_be_bytes()).unwrap();
+    let reply = read_error_reply(&mut s);
+    assert!(error_text(&reply).contains("cap"), "unexpected: {reply}");
+    assert_closed(&mut s);
+    stop(router);
+}
+
+#[test]
+fn malformed_body_is_answered_and_connection_stays_open() {
+    let router = start_shardless_router(|b| b);
+    let mut s = raw_connect(&router);
+    let junk = b"{\"op\":\"stats\""; // cut before the closing brace
+    s.write_all(&(junk.len() as u32).to_be_bytes()).unwrap();
+    s.write_all(junk).unwrap();
+    let reply = read_error_reply(&mut s);
+    assert!(error_text(&reply).contains("JSON"), "unexpected: {reply}");
+
+    // Framing is intact, so the same connection keeps serving.
+    write_frame(&mut s, &Json::obj([("op", Json::str("stats"))])).unwrap();
+    let stats = read_frame(&mut s).unwrap().unwrap();
+    assert_eq!(stats.get("ok").and_then(|v| v.as_bool()), Some(true));
+    assert!(
+        stats.get("router").is_some(),
+        "stats must come from the router"
+    );
+    drop(s);
+    stop(router);
+}
+
+#[test]
+fn connections_over_the_cap_get_busy_then_close() {
+    let router = start_shardless_router(|b| b.max_connections(1));
+    // The first connection takes the only seat; a roundtrip proves the
+    // router has accepted it before the second one arrives.
+    let mut first = Client::connect(&router.local_addr().to_string(), TIMEOUT).unwrap();
+    first.stats().unwrap();
+
+    let mut second = raw_connect(&router);
+    let reply = read_error_reply(&mut second);
+    assert_eq!(reply.get("busy").and_then(|v| v.as_bool()), Some(true));
+    assert!(
+        error_text(&reply).contains("router busy"),
+        "unexpected: {reply}"
+    );
+    assert_closed(&mut second);
+
+    // The seated connection is unaffected.
+    assert!(first.stats().is_ok());
+    drop(first);
+    stop(router);
+}
+
+#[test]
+fn peer_idle_mid_frame_is_closed_after_the_timeout() {
+    let timeout = Duration::from_millis(300);
+    let router = start_shardless_router(|b| b.timeout_secs(timeout.as_secs_f64()));
+    let mut s = raw_connect(&router);
+    // Half a length prefix, then silence: a peer that died mid-frame.
+    s.write_all(&[0, 0]).unwrap();
+    let sent = Instant::now();
+    assert_closed(&mut s);
+    assert!(
+        sent.elapsed() >= timeout,
+        "closed after {:?}, before the {timeout:?} idle timeout",
+        sent.elapsed()
+    );
+    stop(router);
 }
