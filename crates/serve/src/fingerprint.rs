@@ -1,5 +1,5 @@
-//! Sparsity fingerprints: a compact, deterministic digest of a matrix's
-//! sparsity structure used to key cached tuning decisions.
+//! Sparsity fingerprints: a compact, deterministic digest of a summary of a
+//! matrix's sparsity structure, used to key cached tuning decisions.
 //!
 //! WACO's amortization story (PAPER.md §5–6) relies on one cost-model
 //! training run serving many deployment-time queries; BestFormat-style
@@ -41,9 +41,12 @@ const QUANT: f64 = 1e6;
 
 /// A 128-bit sparsity fingerprint.
 ///
-/// Equal fingerprints indicate (up to hash collision, ~2⁻¹²⁸) matrices whose
-/// sparsity structure is indistinguishable to the tuning pipeline, so a
-/// cached decision for one applies to the other.
+/// The key hashes a structure *summary* (dimensions, nnz, log₂ row and
+/// column population histograms, and a few quantized statistics), not the
+/// pattern itself. Equal fingerprints therefore mean equal summaries, which
+/// is the reuse granularity of a cached decision; distinct patterns with
+/// one summary share a key. A square matrix whose side is a multiple of 8
+/// and its 180° rotation are one such class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Fingerprint {
     /// First 64 bits (standard FNV-1a basis).
@@ -214,6 +217,76 @@ mod tests {
         assert_eq!(hist[2], 1, "4");
         assert_eq!(hist[9], 1, "1000");
         assert_eq!(hist[HIST_BUCKETS - 1], 1, "saturates");
+    }
+
+    /// The matrices behind [`GOLDEN`]: one per generator family plus a
+    /// rectangular, an explicitly symmetric and an 8×8-aligned blocked one.
+    fn golden_corpus() -> Vec<(&'static str, CooMatrix)> {
+        let mut rng = Rng64::seed_from(2023);
+        let mut out: Vec<(&'static str, CooMatrix)> = gen::Family::ALL
+            .iter()
+            .zip([
+                "uniform",
+                "banded",
+                "blocked_dense",
+                "blocked_sparse",
+                "powerlaw",
+                "kronecker",
+                "mesh",
+            ])
+            .map(|(family, name)| (name, family.generate(300, &mut rng)))
+            .collect();
+        out.push(("rectangular", gen::uniform_random(90, 170, 0.04, &mut rng)));
+        let half = gen::uniform_random(200, 200, 0.02, &mut rng);
+        let symmetric = CooMatrix::from_triplets(
+            200,
+            200,
+            half.iter().chain(half.iter().map(|(r, c, v)| (c, r, v))),
+        )
+        .unwrap();
+        out.push(("symmetric", symmetric));
+        out.push(("blocked8", gen::blocked(256, 256, 8, 60, 0.7, &mut rng)));
+        out
+    }
+
+    /// Cache keys are persisted in every journal on disk, so these values
+    /// are part of the cache-key contract: a change to any of them needs a
+    /// `JOURNAL_VERSION` bump, not an edit here.
+    const GOLDEN: [(&str, &str); 10] = [
+        ("uniform", "42862d22c290d83a:dee4ea1df4861147"),
+        ("banded", "595778bd80f4fe09:227864e56839b3c8"),
+        ("blocked_dense", "2b066194814eb65a:49bd6229e2cbbf77"),
+        ("blocked_sparse", "5b2e3044780d8e9a:a0d3b0c9e2eb8d23"),
+        ("powerlaw", "791e24390e2229e5:6f9bce5b591977a0"),
+        ("kronecker", "609ff0e2b457bc37:8e17b92066550b0a"),
+        ("mesh", "70423da168395302:51d10109ef39325b"),
+        ("rectangular", "7b62f7b2a80ca8c0:28d8bef3633c64ed"),
+        ("symmetric", "eaf8b5a6fc284668:63c967fc7a1e43d5"),
+        ("blocked8", "04b6a12f871a2e21:dd0966e1a7519958"),
+    ];
+
+    #[test]
+    fn golden_fingerprints_are_stable() {
+        let corpus = golden_corpus();
+        assert_eq!(corpus.len(), GOLDEN.len());
+        for ((name, m), (golden_name, hex)) in corpus.iter().zip(GOLDEN) {
+            assert_eq!(*name, golden_name);
+            assert_eq!(Fingerprint::of_matrix(m).to_string(), hex, "{name}");
+        }
+    }
+
+    /// The key is a summary, so some distinct patterns share it. Rotating a
+    /// square matrix by 180° (side a multiple of 8, so 8×8 blocks map onto
+    /// blocks) preserves every summed statistic.
+    #[test]
+    fn rotation_by_180_degrees_shares_a_key() {
+        let mut rng = Rng64::seed_from(11);
+        let m = gen::powerlaw_rows(64, 64, 6.0, 1.1, &mut rng);
+        let n = m.nrows() - 1;
+        let rotated =
+            CooMatrix::from_triplets(64, 64, m.iter().map(|(r, c, v)| (n - r, n - c, v))).unwrap();
+        assert_ne!(m.pattern(), rotated.pattern());
+        assert_eq!(Fingerprint::of_matrix(&m), Fingerprint::of_matrix(&rotated));
     }
 
     #[test]

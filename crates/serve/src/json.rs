@@ -58,7 +58,11 @@ impl Json {
     /// [`JsonError`] with the offending byte offset.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            text,
+            bytes,
+            pos: 0,
+        };
         p.skip_ws();
         let v = p.value(0)?;
         p.skip_ws();
@@ -200,6 +204,7 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -281,6 +286,15 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain bytes up to the next quote, backslash or
+            // control byte in one step. Those stop bytes are ASCII, so the
+            // run ends on a char boundary of the already-valid `&str`.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             let Some(c) = self.peek() else {
                 return Err(self.err("unterminated string"));
             };
@@ -326,17 +340,8 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Re-decode UTF-8 from the byte stream: back up and take
-                    // the full character.
                     self.pos -= 1;
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let ch = rest.chars().next().expect("nonempty");
-                    if (ch as u32) < 0x20 {
-                        return Err(self.err("unescaped control character"));
-                    }
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    return Err(self.err("unescaped control character"));
                 }
             }
         }
@@ -493,6 +498,36 @@ mod tests {
         assert!(v.get("missing").is_none());
         assert!(Json::Num(1.5).as_u64().is_none());
         assert!(Json::Num(-1.0).as_u64().is_none());
+    }
+
+    #[test]
+    fn megabyte_string_roundtrips() {
+        let line = "%%MatrixMarket 1 2 0.5\n";
+        let body = line.repeat((1 << 20) / line.len() + 1);
+        assert!(body.len() >= 1 << 20);
+        let text = Json::obj([("matrix", Json::str(body.as_str()))]).to_string();
+        let v = Json::parse(&text).unwrap();
+        assert_eq!(v.get("matrix").unwrap().as_str(), Some(body.as_str()));
+    }
+
+    #[test]
+    fn multibyte_runs_around_escapes() {
+        let v = Json::parse(r#""é\n€\"😀\u00e9ü\\ß""#).unwrap();
+        assert_eq!(v.as_str(), Some("é\n€\"😀éü\\ß"));
+        let v = Json::parse(r#"{"ключ\t": "値\u20ac"}"#).unwrap();
+        assert_eq!(v.get("ключ\t").unwrap().as_str(), Some("値€"));
+    }
+
+    #[test]
+    fn control_byte_mid_run_is_rejected_at_its_offset() {
+        // `"ab` is 3 bytes and `é` 2, so the raw U+0001 sits at byte 5.
+        let err = Json::parse("\"abé\u{1}cd\"").unwrap_err();
+        assert_eq!(err.at, 5);
+        assert_eq!(err.msg, "unescaped control character");
+        let err = Json::parse("[\"x\", \"\n\"]").unwrap_err();
+        assert_eq!(err.at, 7);
+        let err = Json::parse("\"abc").unwrap_err();
+        assert_eq!((err.at, err.msg.as_str()), (4, "unterminated string"));
     }
 
     #[test]

@@ -235,6 +235,32 @@ fn malformed_body_is_answered_and_connection_stays_open() {
     stop(router);
 }
 
+/// The router parses every `tune`/`lookup` body on its reactor thread to
+/// fingerprint it, so a size line declaring a huge `nnz` must come back as
+/// an error frame, not abort the process.
+#[test]
+fn declared_nnz_bomb_is_answered_and_connection_stays_open() {
+    let router = start_shardless_router(|b| b);
+    let mut s = raw_connect(&router);
+    for size in ["1 1 100000000000000", "1 1 18446744073709551615"] {
+        let body = format!("%%MatrixMarket matrix coordinate real general\n{size}\n");
+        write_frame(&mut s, &request_json("lookup", "spmv", 0, &body)).unwrap();
+        let reply = read_error_reply(&mut s);
+        assert!(
+            error_text(&reply).contains("expected"),
+            "unexpected: {reply}"
+        );
+    }
+    write_frame(&mut s, &Json::obj([("op", Json::str("stats"))])).unwrap();
+    let stats = read_frame(&mut s).unwrap().unwrap();
+    assert!(
+        stats.get("router").is_some(),
+        "stats must come from the router"
+    );
+    drop(s);
+    stop(router);
+}
+
 #[test]
 fn connections_over_the_cap_get_busy_then_close() {
     let router = start_shardless_router(|b| b.max_connections(1));

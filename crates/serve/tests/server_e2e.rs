@@ -333,6 +333,33 @@ fn malformed_requests_get_error_responses() {
     server.wait().unwrap();
 }
 
+/// A size line declaring far more entries than the body holds must not make
+/// the parser reserve memory for the declared count.
+#[test]
+fn declared_nnz_bomb_gets_an_error_frame() {
+    let dir = tmp_dir("nnz-bomb");
+    let server = start_server(&dir);
+    let mut client = connect(&server);
+    for (op, size) in [
+        ("lookup", "1 1 100000000000000"),
+        ("tune", "1 1 18446744073709551615"),
+    ] {
+        let body = format!("%%MatrixMarket matrix coordinate real general\n{size}\n");
+        let reply = client
+            .roundtrip(&waco_serve::protocol::request_json(op, "spmv", 0, &body))
+            .unwrap();
+        assert_eq!(reply.get("ok").unwrap().as_bool(), Some(false), "{reply}");
+        let err = reply.get("error").unwrap().as_str().unwrap();
+        assert!(err.contains("expected"), "unexpected error: {err}");
+    }
+    // The server is alive and the same connection keeps serving.
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.get("ok").unwrap().as_bool(), Some(true));
+
+    client.shutdown().unwrap();
+    server.wait().unwrap();
+}
+
 /// Drives the wire protocol by hand so we can send frames a well-behaved
 /// [`Client`] never would.
 fn raw_connect(server: &Server) -> std::net::TcpStream {

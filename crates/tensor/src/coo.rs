@@ -49,7 +49,8 @@ impl CooMatrix {
                 "matrix dimensions must be positive, got {nrows}x{ncols}"
             )));
         }
-        let mut entries: Vec<Entry> = Vec::new();
+        let triplets = triplets.into_iter();
+        let mut entries: Vec<Entry> = Vec::with_capacity(triplets.size_hint().0);
         for (row, col, val) in triplets {
             if row >= nrows || col >= ncols {
                 return Err(TensorError::CoordOutOfBounds {

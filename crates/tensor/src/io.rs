@@ -30,17 +30,43 @@ fn parse_err(line: usize, msg: impl Into<String>) -> TensorError {
     }
 }
 
+/// The lines of a byte buffer as `BufRead::lines` yields them (`\n` or
+/// `\r\n` stripped, no empty line after a final `\n`), without a `String`
+/// per line. The buffer is checked as UTF-8 once; the lines before the first
+/// invalid one are yielded, then the same `InvalidData` error
+/// `BufRead::lines` gives on that line.
+fn text_lines(bytes: &[u8]) -> impl Iterator<Item = std::io::Result<&str>> {
+    let (valid, invalid) = match std::str::from_utf8(bytes) {
+        Ok(text) => (text, None),
+        Err(e) => {
+            let line_start = bytes[..e.valid_up_to()]
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |i| i + 1);
+            let error = std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            );
+            let prefix = std::str::from_utf8(&bytes[..line_start]).expect("valid prefix");
+            (prefix, Some(Err(error)))
+        }
+    };
+    valid.lines().map(Ok).chain(invalid)
+}
+
 /// Reads a Matrix Market stream into a [`CooMatrix`].
 ///
-/// A `&mut` reference may be passed for any `R: Read`.
+/// A `&mut` reference may be passed for any `R: Read`. The stream is read
+/// into memory once and parsed in a single pass over its lines.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError::Parse`] on malformed input, [`TensorError::Io`] on
 /// read failures, and the usual bound errors for out-of-range coordinates.
-pub fn read_matrix_market<R: Read>(reader: R) -> Result<CooMatrix> {
-    let buf = BufReader::new(reader);
-    let mut lines = buf.lines().enumerate();
+pub fn read_matrix_market<R: Read>(mut reader: R) -> Result<CooMatrix> {
+    let mut bytes = Vec::new();
+    reader.read_to_end(&mut bytes)?;
+    let mut lines = text_lines(&bytes).enumerate();
 
     // Header line.
     let (mut lineno, header) = loop {
@@ -55,20 +81,22 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<CooMatrix> {
         }
     };
     let header_lc = header.to_ascii_lowercase();
-    let toks: Vec<&str> = header_lc.split_whitespace().collect();
-    if toks.len() < 4 || toks[0] != "%%matrixmarket" || toks[1] != "matrix" {
+    let mut toks = header_lc.split_whitespace();
+    let mut tok = || toks.next().unwrap_or("");
+    let (magic, object, format, field) = (tok(), tok(), tok(), tok());
+    if field.is_empty() || magic != "%%matrixmarket" || object != "matrix" {
         return Err(parse_err(lineno, format!("bad header: {header}")));
     }
-    if toks[2] != "coordinate" {
+    if format != "coordinate" {
         return Err(parse_err(lineno, "only `coordinate` format is supported"));
     }
-    let field = match toks[3] {
+    let field = match field {
         "real" => Field::Real,
         "integer" => Field::Integer,
         "pattern" => Field::Pattern,
         other => return Err(parse_err(lineno, format!("unsupported field `{other}`"))),
     };
-    let symmetry = match toks.get(4).copied().unwrap_or("general") {
+    let symmetry = match toks.next().unwrap_or("general") {
         "general" => Symmetry::General,
         "symmetric" => Symmetry::Symmetric,
         "skew-symmetric" => Symmetry::SkewSymmetric,
@@ -81,54 +109,60 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<CooMatrix> {
             .next()
             .ok_or_else(|| parse_err(lineno, "missing size line"))?;
         lineno = i + 1;
-        let line = line?;
-        let t = line.trim();
+        let t = line?.trim();
         if t.is_empty() || t.starts_with('%') {
             continue;
         }
-        let parts: Vec<&str> = t.split_whitespace().collect();
-        if parts.len() != 3 {
+        let mut parts = t.split_whitespace();
+        let (Some(a), Some(b), Some(c), None) =
+            (parts.next(), parts.next(), parts.next(), parts.next())
+        else {
             return Err(parse_err(lineno, format!("bad size line: {t}")));
-        }
+        };
         let parse = |s: &str| -> Result<usize> {
             s.parse()
                 .map_err(|_| parse_err(lineno, format!("bad integer `{s}`")))
         };
-        break (parse(parts[0])?, parse(parts[1])?, parse(parts[2])?);
+        break (parse(a)?, parse(b)?, parse(c)?);
     };
 
-    let mut triplets: Vec<(usize, usize, Value)> = Vec::with_capacity(nnz);
+    // The size line's `nnz` is client input: reserve no more entries than
+    // the stream can hold (each takes at least `r c` and a line break, 4
+    // bytes) and let the vector grow past that if it must.
+    let most = bytes.len() / 4 + 1;
+    let mut triplets: Vec<(usize, usize, Value)> = Vec::with_capacity(nnz.min(most));
     let mut seen = 0usize;
     for (i, line) in lines {
         lineno = i + 1;
-        let line = line?;
-        let t = line.trim();
+        let t = line?.trim();
         if t.is_empty() || t.starts_with('%') {
             continue;
         }
-        let parts: Vec<&str> = t.split_whitespace().collect();
-        let want = if field == Field::Pattern { 2 } else { 3 };
-        if parts.len() < want {
-            return Err(parse_err(lineno, format!("entry line too short: {t}")));
-        }
-        let r: usize = parts[0]
+        let mut parts = t.split_whitespace();
+        let (row, col, value) = match (parts.next(), parts.next(), parts.next()) {
+            (Some(row), Some(col), value) if value.is_some() || field == Field::Pattern => {
+                (row, col, value)
+            }
+            _ => return Err(parse_err(lineno, format!("entry line too short: {t}"))),
+        };
+        let r: usize = row
             .parse()
-            .map_err(|_| parse_err(lineno, format!("bad row `{}`", parts[0])))?;
-        let c: usize = parts[1]
+            .map_err(|_| parse_err(lineno, format!("bad row `{row}`")))?;
+        let c: usize = col
             .parse()
-            .map_err(|_| parse_err(lineno, format!("bad col `{}`", parts[1])))?;
+            .map_err(|_| parse_err(lineno, format!("bad col `{col}`")))?;
         if r == 0 || c == 0 {
             return Err(parse_err(lineno, "matrix market coordinates are 1-based"));
         }
-        let v: Value = match field {
-            Field::Pattern => 1.0,
+        let v: Value = match (field, value) {
             // Parse directly at `Value` precision: the writer emits
             // shortest-round-trip `Value` decimals, and a correctly rounded
             // parse at the same width makes write→read bit-exact (parsing
             // as f64 and narrowing would double-round).
-            Field::Real | Field::Integer => parts[2]
+            (Field::Real | Field::Integer, Some(text)) => text
                 .parse::<Value>()
-                .map_err(|_| parse_err(lineno, format!("bad value `{}`", parts[2])))?,
+                .map_err(|_| parse_err(lineno, format!("bad value `{text}`")))?,
+            _ => 1.0,
         };
         let (r, c) = (r - 1, c - 1);
         triplets.push((r, c, v));
@@ -153,6 +187,8 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<CooMatrix> {
             format!("expected {nnz} entries, found {seen}"),
         ));
     }
+    // The text is no longer needed while the entries are sorted.
+    drop(bytes);
     CooMatrix::from_triplets(nrows, ncols, triplets)
 }
 
@@ -345,6 +381,38 @@ mod tests {
             read_matrix_market(src.as_bytes()),
             Err(TensorError::Parse { .. })
         ));
+    }
+
+    #[test]
+    fn huge_declared_nnz_is_a_parse_error() {
+        for size in ["1 1 100000000000000", "1 1 18446744073709551615"] {
+            let src = format!("%%MatrixMarket matrix coordinate real general\n{size}\n1 1 1.0\n");
+            match read_matrix_market(src.as_bytes()) {
+                Err(TensorError::Parse { line: 3, msg }) => {
+                    assert!(msg.starts_with("expected "), "{msg}")
+                }
+                other => panic!("{size}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn line_numbers_and_io_errors_survive() {
+        let src = "\n%%MatrixMarket matrix coordinate real general\r\n% c\n2 2 1\n\n1 x 1.0\n";
+        match read_matrix_market(src.as_bytes()) {
+            Err(TensorError::Parse { line: 6, msg }) => assert_eq!(msg, "bad col `x`"),
+            other => panic!("{other:?}"),
+        }
+        let src = b"%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 \xff\n";
+        assert!(matches!(
+            read_matrix_market(&src[..]),
+            Err(TensorError::Io(e)) if e.kind() == std::io::ErrorKind::InvalidData
+        ));
+        let src = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n\n";
+        match read_matrix_market(src.as_bytes()) {
+            Err(TensorError::Parse { line: 4, .. }) => {}
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

@@ -40,8 +40,7 @@ pub struct MatrixStats {
 }
 
 impl MatrixStats {
-    /// Computes all statistics in one pass (plus one sort-based pass for
-    /// symmetry).
+    /// Computes all statistics in time linear in `nnz + nrows + ncols`.
     pub fn compute(m: &CooMatrix) -> Self {
         let nrows = m.nrows();
         let ncols = m.ncols();
@@ -67,12 +66,30 @@ impl MatrixStats {
         };
 
         // Symmetry: fraction of off-diagonal entries with a stored mirror.
-        let mut sym_hits = 0usize;
-        let mut off_diag = 0usize;
-        for (r, c, _) in m.iter() {
-            if r != c {
+        // A counting sort by column lists the transpose's entries in
+        // row-major order, so one merge against the entries finds every
+        // entry stored at both (r, c) and (c, r).
+        let mut col_start = vec![0usize; ncols + 1];
+        for e in m.entries() {
+            col_start[e.col + 1] += 1;
+        }
+        for c in 0..ncols {
+            col_start[c + 1] += col_start[c];
+        }
+        let mut transposed = vec![(0usize, 0usize); nnz];
+        for e in m.entries() {
+            transposed[col_start[e.col]] = (e.col, e.row);
+            col_start[e.col] += 1;
+        }
+        let (mut sym_hits, mut off_diag, mut t) = (0usize, 0usize, 0usize);
+        for e in m.entries() {
+            let key = (e.row, e.col);
+            while t < nnz && transposed[t] < key {
+                t += 1;
+            }
+            if e.row != e.col {
                 off_diag += 1;
-                if m.get(c, r).is_some() {
+                if transposed.get(t) == Some(&key) {
                     sym_hits += 1;
                 }
             }
@@ -83,16 +100,23 @@ impl MatrixStats {
             sym_hits as f64 / off_diag as f64
         };
 
-        // 8×8 block occupancy.
-        let mut blocks = std::collections::HashMap::new();
-        for (r, c, _) in m.iter() {
-            *blocks.entry((r / 8, c / 8)).or_insert(0usize) += 1;
+        // 8×8 block occupancy. Entries arrive band by band (8 rows at a
+        // time), so a block is new when its block column was last marked in
+        // an earlier band. Per-block fills `count / 64` are exact in f64, so
+        // their mean is exactly `(nnz / 64) / blocks`.
+        let mut marked_in_band = vec![usize::MAX; ncols.div_ceil(8)];
+        let mut block8_count = 0usize;
+        for e in m.entries() {
+            let mark = &mut marked_in_band[e.col / 8];
+            if *mark != e.row / 8 {
+                *mark = e.row / 8;
+                block8_count += 1;
+            }
         }
-        let block8_count = blocks.len();
-        let block8_fill_mean = if blocks.is_empty() {
+        let block8_fill_mean = if block8_count == 0 {
             0.0
         } else {
-            blocks.values().map(|&c| c as f64 / 64.0).sum::<f64>() / blocks.len() as f64
+            nnz as f64 / 64.0 / block8_count as f64
         };
 
         Self {
@@ -145,6 +169,59 @@ impl MatrixStats {
 mod tests {
     use super::*;
     use crate::gen::{self, Rng64};
+
+    /// The direct definitions: a binary-search mirror probe per entry and
+    /// a hash map of 8×8 blocks. `compute` must match them bit for bit,
+    /// because the fingerprint (a cache key) hashes these statistics.
+    fn reference_symmetry_and_blocks(m: &CooMatrix) -> (f64, f64, usize) {
+        let mut sym_hits = 0usize;
+        let mut off_diag = 0usize;
+        for (r, c, _) in m.iter() {
+            if r != c {
+                off_diag += 1;
+                if m.get(c, r).is_some() {
+                    sym_hits += 1;
+                }
+            }
+        }
+        let symmetry = if off_diag == 0 {
+            1.0
+        } else {
+            sym_hits as f64 / off_diag as f64
+        };
+        let mut blocks = std::collections::HashMap::new();
+        for (r, c, _) in m.iter() {
+            *blocks.entry((r / 8, c / 8)).or_insert(0usize) += 1;
+        }
+        let fill = if blocks.is_empty() {
+            0.0
+        } else {
+            blocks.values().map(|&c| c as f64 / 64.0).sum::<f64>() / blocks.len() as f64
+        };
+        (symmetry, fill, blocks.len())
+    }
+
+    #[test]
+    fn linear_pass_matches_direct_definitions() {
+        let mut rng = Rng64::seed_from(5);
+        let mut corpus: Vec<CooMatrix> = gen::corpus(21, 300, 8)
+            .into_iter()
+            .map(|(_, m)| m)
+            .collect();
+        corpus.push(gen::uniform_random(37, 211, 0.05, &mut rng));
+        corpus.push(gen::uniform_random(211, 37, 0.05, &mut rng));
+        corpus.push(gen::blocked(120, 200, 8, 30, 0.8, &mut rng));
+        corpus.push(gen::mesh2d(9, 13));
+        corpus.push(CooMatrix::zeros(5, 9));
+        corpus.push(CooMatrix::from_triplets(3, 3, vec![(1, 1, 1.0)]).unwrap());
+        for m in &corpus {
+            let s = MatrixStats::compute(m);
+            let (symmetry, fill, count) = reference_symmetry_and_blocks(m);
+            assert_eq!(s.symmetry.to_bits(), symmetry.to_bits());
+            assert_eq!(s.block8_fill_mean.to_bits(), fill.to_bits());
+            assert_eq!(s.block8_count, count);
+        }
+    }
 
     #[test]
     fn mesh_stats() {
