@@ -22,11 +22,8 @@
 //! shared profile cancels out of every comparison.
 
 use crate::plan::{ExecutionPlan, LocateKind, PlanOp};
+use waco_tensor::stats::{log2_histogram, HIST_BUCKETS};
 use waco_tensor::{CooMatrix, CooTensor3};
-
-/// Number of log2 buckets in a degree histogram — matches the serve-layer
-/// fingerprint's histogram width so profiles can be rebuilt from one.
-pub const HIST_BUCKETS: usize = 16;
 
 /// The structural workload profile the bound is parameterized by.
 ///
@@ -43,22 +40,6 @@ pub struct AsymptoticProfile {
     pub row_hist: [u64; HIST_BUCKETS],
     /// Same histogram over mode-1 lines (columns for a matrix).
     pub col_hist: [u64; HIST_BUCKETS],
-}
-
-/// Buckets per-line nonzero counts by `floor(log2(c))`, saturating at the
-/// last bucket. Duplicated from the serve fingerprint (exec cannot depend on
-/// serve); the bucketing must stay in sync with `Fingerprint`'s.
-fn log2_histogram(counts: &[usize]) -> [u64; HIST_BUCKETS] {
-    let mut hist = [0u64; HIST_BUCKETS];
-    for &c in counts {
-        let bucket = if c <= 1 {
-            0
-        } else {
-            (usize::BITS - 1 - c.leading_zeros()) as usize
-        };
-        hist[bucket.min(HIST_BUCKETS - 1)] += 1;
-    }
-    hist
 }
 
 impl AsymptoticProfile {
@@ -277,7 +258,14 @@ mod tests {
 
     #[test]
     fn histogram_matches_fingerprint_bucketing() {
-        let hist = log2_histogram(&[0, 1, 2, 3, 4, 1000]);
+        // Row populations 0, 1, 2, 3, 4 and 1000.
+        let rows = [0usize, 1, 2, 3, 4, 1000];
+        let entries = rows
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &c)| (0..c).map(move |j| (i, j, 1.0)));
+        let m = CooMatrix::from_triplets(rows.len(), 1000, entries).unwrap();
+        let hist = AsymptoticProfile::from_matrix(&m).row_hist;
         assert_eq!(hist[0], 2, "0 and 1 share bucket 0");
         assert_eq!(hist[1], 2, "2 and 3");
         assert_eq!(hist[2], 1, "4");
@@ -332,8 +320,7 @@ mod tests {
         // entry-weighted segments are longer, so a discordant plan (which
         // binary-searches per probe) must cost at least as much.
         let n = 64;
-        let skewed =
-            CooMatrix::from_triplets(n, n, (0..n).map(|k| (0usize, k, 1.0))).unwrap();
+        let skewed = CooMatrix::from_triplets(n, n, (0..n).map(|k| (0usize, k, 1.0))).unwrap();
         let space = Space::new(Kernel::SpMV, vec![n, n], 0);
         let mut disc = named::default_csr(&space);
         disc.parallel = None;

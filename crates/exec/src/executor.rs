@@ -121,8 +121,8 @@ impl Executor {
         })
     }
 
-    /// Wraps a plan and storage that were built elsewhere (the serve-side
-    /// plan cache, a persisted conversion) into a runnable kernel.
+    /// Wraps a plan and storage that were built elsewhere (a plan shared
+    /// across calls, a persisted conversion) into a runnable kernel.
     ///
     /// # Errors
     ///

@@ -251,9 +251,8 @@ pub struct ExecutionPlan {
 impl ExecutionPlan {
     /// Validates `sched` against `space` and lowers it into a plan.
     ///
-    /// This is the single validation point of the execution stack: kernels,
-    /// the simulator, and the serve-side plan cache all build (or fetch)
-    /// plans instead of re-validating per call.
+    /// This is the single validation point of the execution stack: kernels
+    /// and the simulator build plans instead of re-validating per call.
     ///
     /// # Errors
     ///

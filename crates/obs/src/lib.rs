@@ -12,8 +12,9 @@
 //! * **Counters** ([`counter`]): named monotonic `u64` sums — predictor
 //!   calls, chunks stolen, simulator events.
 //! * **Histograms** ([`record`]): named `f64` distributions with
-//!   count/sum/min/max plus decade (power-of-ten) buckets — per-epoch
-//!   losses, per-tune overhead seconds.
+//!   count/sum/min/max plus log-linear buckets 1/16 of an octave wide
+//!   ([`Histogram`]) — per-epoch losses, per-tune overhead seconds, request
+//!   latencies.
 //!
 //! **Disabled cost.** Nothing is recorded until a subscriber is installed
 //! ([`install`]). Every entry point first performs a single relaxed atomic
@@ -229,43 +230,66 @@ impl SpanStat {
     }
 }
 
-/// Decade buckets: `buckets[i]` counts observations with
-/// `10^(i - 15) <= |v| < 10^(i - 14)`; index 0 also absorbs zero and
-/// anything smaller.
-pub const HIST_BUCKETS: usize = 24;
+/// Sub-buckets per power of two, as a bit count: a bucket is the set of
+/// positive `f64`s that share their exponent and top `SUB_BITS` mantissa
+/// bits, so each octave splits into 16 equal-width buckets.
+const SUB_BITS: u32 = 4;
 
-/// Aggregated statistics of one histogram.
+/// Right shift from an `f64`'s bits to its bucket index.
+const BUCKET_SHIFT: u32 = f64::MANTISSA_DIGITS - 1 - SUB_BITS;
+
+/// Worst-case relative error of a [`Histogram::quantile`] estimate against
+/// the exact nearest-rank quantile of the recorded positive values. A bucket
+/// `[lo, hi)` is at most `lo / 16` wide and the estimate is its midpoint,
+/// so it is off by at most `lo / 32`.
+pub const QUANTILE_REL_ERROR: f64 = 1.0 / (2u64 << SUB_BITS) as f64;
+
+/// A log-linear (HDR-style) histogram of `f64` observations: exact
+/// count/sum/min/max plus sparse buckets 1/16 of an octave wide over the
+/// whole positive `f64` range. Zero, negative and NaN observations share
+/// the lowest bucket; the quantile bound covers positive normal values.
+///
+/// The registry keeps one per [`record`] name; a component that needs
+/// quantiles with tracing off (the serve tier's `stats` latency) owns one.
 #[derive(Debug, Clone, PartialEq)]
-pub struct HistStat {
+pub struct Histogram {
     /// Number of observations.
     pub count: u64,
     /// Sum of observations.
     pub sum: f64,
-    /// Smallest observation.
+    /// Smallest observation (`+inf` while empty).
     pub min: f64,
-    /// Largest observation.
+    /// Largest observation (`-inf` while empty).
     pub max: f64,
-    /// Power-of-ten magnitude buckets (see [`HIST_BUCKETS`]).
-    pub buckets: [u64; HIST_BUCKETS],
+    /// Observation counts by bucket index (see [`bucket_of`]).
+    buckets: BTreeMap<u16, u64>,
 }
 
-impl HistStat {
-    fn new() -> Self {
+impl Default for Histogram {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Histogram {
+    /// An empty histogram.
+    pub fn new() -> Self {
         Self {
             count: 0,
             sum: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            buckets: [0; HIST_BUCKETS],
+            buckets: BTreeMap::new(),
         }
     }
 
-    fn observe(&mut self, v: f64) {
+    /// Records one observation.
+    pub fn observe(&mut self, v: f64) {
         self.count += 1;
         self.sum += v;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-        self.buckets[bucket_of(v)] += 1;
+        *self.buckets.entry(bucket_of(v)).or_insert(0) += 1;
     }
 
     /// Mean observation.
@@ -277,55 +301,58 @@ impl HistStat {
         }
     }
 
-    /// Estimates the `q`-quantile (`0.0 ..= 1.0`) from the decade buckets.
-    ///
-    /// Resolution is bounded by the buckets themselves: within the decade
-    /// that holds the target rank the estimate interpolates geometrically,
-    /// so it can be off by a factor approaching 10 in the worst case but is
-    /// exact at the decade edges and clamped to the observed `[min, max]`.
-    /// Good enough for trend reporting; gate on exact client-side samples
-    /// when precision matters.
+    /// Estimates the nearest-rank `q`-quantile (`0.0 ..= 1.0`): the midpoint
+    /// of the bucket holding the observation of rank `ceil(q * count)`,
+    /// clamped to the observed `[min, max]`. Exact for the first and last
+    /// ranks, within [`QUANTILE_REL_ERROR`] of the exact value otherwise; 0
+    /// when empty.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
-        let q = q.clamp(0.0, 1.0);
-        // Rank in [1, count]; ceil so q = 1.0 lands on the last observation.
-        let rank = ((q * self.count as f64).ceil() as u64).max(1);
+        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
+        if rank == 1 {
+            return self.min;
+        }
+        if rank == self.count {
+            return self.max;
+        }
         let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            if seen + n >= rank {
-                // The target rank falls in decade bucket i, which spans
-                // [10^(i-15), 10^(i-14)). Interpolate geometrically by the
-                // fraction of the bucket's population below the rank.
-                let lo = 10f64.powi(i as i32 - 15);
-                let frac = (rank - seen) as f64 / n as f64;
-                let est = lo * 10f64.powf(frac);
-                return est.clamp(self.min, self.max);
-            }
+        for (&b, &n) in &self.buckets {
             seen += n;
+            if seen >= rank {
+                let (lo, hi) = bucket_bounds(b);
+                return (lo + (hi - lo) / 2.0).clamp(self.min, self.max);
+            }
         }
         self.max
     }
 }
 
-fn bucket_of(v: f64) -> usize {
-    let a = v.abs();
-    if a <= 0.0 || !a.is_finite() {
-        return 0;
+/// The bucket of `v`: the top bits of a positive `f64`'s representation,
+/// which order like the values themselves. Everything not positive lands in
+/// bucket 0 beside the subnormals.
+fn bucket_of(v: f64) -> u16 {
+    if v > 0.0 {
+        (v.to_bits() >> BUCKET_SHIFT) as u16
+    } else {
+        0
     }
-    let decade = a.log10().floor() as i64 + 15;
-    decade.clamp(0, HIST_BUCKETS as i64 - 1) as usize
+}
+
+/// The `[lo, hi)` value range of bucket `b`.
+fn bucket_bounds(b: u16) -> (f64, f64) {
+    (
+        f64::from_bits(u64::from(b) << BUCKET_SHIFT),
+        f64::from_bits((u64::from(b) + 1) << BUCKET_SHIFT),
+    )
 }
 
 #[derive(Default)]
 struct Registry {
     spans: BTreeMap<String, SpanStat>,
     counters: BTreeMap<String, u64>,
-    hists: BTreeMap<String, HistStat>,
+    hists: BTreeMap<String, Histogram>,
 }
 
 impl Registry {
@@ -367,10 +394,7 @@ impl Registry {
     }
 
     fn record_value(&mut self, name: &str, v: f64) {
-        self.hists
-            .entry(name.to_string())
-            .or_insert_with(HistStat::new)
-            .observe(v);
+        self.hists.entry(name.to_string()).or_default().observe(v);
     }
 
     fn snapshot(&self) -> Snapshot {
@@ -402,7 +426,7 @@ pub struct Snapshot {
     /// Counter totals by name.
     pub counters: BTreeMap<String, u64>,
     /// Histograms by name.
-    pub hists: BTreeMap<String, HistStat>,
+    pub hists: BTreeMap<String, Histogram>,
 }
 
 impl Snapshot {
@@ -461,7 +485,7 @@ impl Snapshot {
     }
 
     /// Histogram by name.
-    pub fn hist(&self, name: &str) -> Option<&HistStat> {
+    pub fn hist(&self, name: &str) -> Option<&Histogram> {
         self.hists.get(name)
     }
 
@@ -500,9 +524,12 @@ impl Snapshot {
             let buckets: Vec<String> = h
                 .buckets
                 .iter()
-                .enumerate()
-                .filter(|(_, &c)| c > 0)
-                .map(|(b, &c)| format!("{{\"decade\": {}, \"count\": {c}}}", b as i64 - 15))
+                .map(|(&b, &c)| {
+                    format!(
+                        "{{\"lo\": {}, \"count\": {c}}}",
+                        json_f64(bucket_bounds(b).0)
+                    )
+                })
                 .collect();
             out.push_str(&format!(
                 "\n    {{\"name\": \"{}\", \"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"mean\": {}, \"buckets\": [{}]}}",
@@ -677,44 +704,65 @@ mod tests {
         assert_eq!(h.min, 0.0);
         assert_eq!(h.max, 1.5);
         assert!((h.mean() - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(h.buckets.iter().sum::<u64>(), 3);
+        assert_eq!(h.buckets.values().sum::<u64>(), 3);
     }
 
-    #[test]
-    fn decade_buckets_land_where_expected() {
-        assert_eq!(bucket_of(0.0), 0);
-        assert_eq!(bucket_of(1.0), 15);
-        assert_eq!(bucket_of(-10.0), 16);
-        assert_eq!(bucket_of(0.05), 13);
-        assert_eq!(bucket_of(f64::INFINITY), 0);
-        assert!(bucket_of(1e300) < HIST_BUCKETS);
-    }
+    /// The stated bound is no looser than a factor of 2.
+    const _: () = assert!(QUANTILE_REL_ERROR <= 0.5);
 
+    /// Quantile estimates against the exact nearest-rank oracle over
+    /// seeded uniform, bimodal and long-tail samples, at the stated bound.
     #[test]
-    fn quantile_estimates_track_decades() {
-        let mut h = HistStat::new();
-        assert_eq!(h.quantile(0.5), 0.0, "empty histogram");
+    fn quantiles_track_exact_nearest_rank() {
+        // SplitMix64: a seeded uniform in (0, 1].
+        let mut state = 0x5eed_0b5e_u64;
+        let mut unit = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64 + f64::EPSILON
+        };
+        let uniform: Vec<f64> = (0..5000).map(|_| 1e-3 + 9e-3 * unit()).collect();
+        // 90% fast hits near 100 µs, 10% slow tunes near 50 ms.
+        let bimodal: Vec<f64> = (0..5000)
+            .map(|i| {
+                if i % 10 == 0 {
+                    0.05 * (1.0 + unit())
+                } else {
+                    1e-4 * (1.0 + unit())
+                }
+            })
+            .collect();
+        // Pareto, shape 1.2: a heavy tail spanning several decades.
+        let long_tail: Vec<f64> = (0..5000).map(|_| 1e-4 / unit().powf(1.0 / 1.2)).collect();
 
-        // 90 fast observations (~1 ms decade) and 10 slow ones (~1 s).
-        for _ in 0..90 {
-            h.observe(2e-3);
+        for (name, samples) in [
+            ("uniform", uniform),
+            ("bimodal", bimodal),
+            ("long_tail", long_tail),
+        ] {
+            let mut h = Histogram::new();
+            for &v in &samples {
+                h.observe(v);
+            }
+            let mut sorted = samples.clone();
+            sorted.sort_by(f64::total_cmp);
+            for q in [0.5, 0.9, 0.99] {
+                let rank = ((q * sorted.len() as f64).ceil() as usize).max(1);
+                let exact = sorted[rank - 1];
+                let est = h.quantile(q);
+                let err = (est - exact).abs() / exact;
+                assert!(
+                    err <= QUANTILE_REL_ERROR,
+                    "{name} p{}: estimate {est} vs exact {exact} ({err:.4} > {QUANTILE_REL_ERROR})",
+                    q * 100.0
+                );
+            }
+            assert_eq!(h.quantile(0.0), sorted[0]);
+            assert_eq!(h.quantile(1.0), sorted[sorted.len() - 1]);
         }
-        for _ in 0..10 {
-            h.observe(2.0);
-        }
-        let p50 = h.quantile(0.5);
-        assert!(
-            (1e-3..1e-2).contains(&p50),
-            "p50 must land in the millisecond decade, got {p50}"
-        );
-        let p99 = h.quantile(0.99);
-        assert!(
-            (1.0..=h.max).contains(&p99),
-            "p99 must land in the second decade, got {p99}"
-        );
-        // Extremes are clamped to observed values.
-        assert_eq!(h.quantile(0.0), h.min);
-        assert_eq!(h.quantile(1.0), h.max);
+        assert_eq!(Histogram::new().quantile(0.5), 0.0, "empty histogram");
     }
 
     #[test]

@@ -20,17 +20,12 @@
 use std::fmt;
 
 use waco_anns::persist::{FNV_OFFSET, FNV_PRIME};
+use waco_tensor::stats::{log2_histogram, HIST_BUCKETS};
 use waco_tensor::{CooMatrix, MatrixStats};
 
 /// The workspace's one FNV-1a 64, re-exported for the serving layer's
 /// record checksums, cache shard selection and ring points.
 pub use waco_anns::persist::{fnv1a64, Fnv64};
-
-/// Number of log₂ buckets in the row/column population histograms.
-/// Bucket `i` counts lines whose nnz `c` satisfies `floor(log2(c)) == i`
-/// (empty lines land in bucket 0 alongside singletons' `c = 1`); counts of
-/// `2^15` and above saturate into the last bucket.
-pub const HIST_BUCKETS: usize = 16;
 
 /// Offset basis for the second, independent pass (first pass basis hashed
 /// through one FNV step so the two streams decorrelate immediately).
@@ -140,20 +135,6 @@ fn push_quantized(out: &mut Vec<u8>, v: f64) {
         i64::MIN
     };
     out.extend_from_slice(&q.to_le_bytes());
-}
-
-/// Histogram of per-line populations over log₂ buckets.
-fn log2_histogram(counts: &[usize]) -> [u64; HIST_BUCKETS] {
-    let mut hist = [0u64; HIST_BUCKETS];
-    for &c in counts {
-        let bucket = if c <= 1 {
-            0
-        } else {
-            (usize::BITS - 1 - c.leading_zeros()) as usize
-        };
-        hist[bucket.min(HIST_BUCKETS - 1)] += 1;
-    }
-    hist
 }
 
 #[cfg(test)]

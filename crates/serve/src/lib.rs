@@ -38,7 +38,6 @@ pub mod fingerprint;
 pub mod journal;
 pub mod json;
 pub mod lru;
-pub mod plan_cache;
 pub mod protocol;
 mod reactor;
 pub mod ring;
@@ -53,7 +52,6 @@ pub use fingerprint::Fingerprint;
 pub use journal::Journal;
 pub use json::Json;
 pub use lru::ShardedLru;
-pub use plan_cache::{PlanCache, PlanCacheStats};
 pub use ring::HashRing;
 pub use router::{Router, RouterConfig};
 pub use server::{ServeConfig, Server};

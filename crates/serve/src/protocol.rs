@@ -37,6 +37,14 @@ use crate::json::Json;
 /// not unbounded).
 pub const MAX_FRAME_LEN: u32 = 64 << 20;
 
+/// Largest row or column count an inline matrix may declare. Fingerprinting
+/// and tuning allocate a word or more per row and per column (degree counts,
+/// `MatrixStats`' per-column arrays, the simulator's dense operands), all
+/// sized by the declared dimensions rather than the entries sent. At 2^22
+/// each such array stays under 32 MiB, half of [`MAX_FRAME_LEN`]; a body
+/// declaring more is refused before anything is sized by it.
+pub const MAX_DIM: usize = 1 << 22;
+
 /// A parsed request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -270,6 +278,13 @@ pub fn sync_batch_from_json(v: &Json) -> Option<SyncBatch> {
 pub fn parse_and_fingerprint(matrix: &str) -> Result<(CooMatrix, Fingerprint), String> {
     let m =
         read_matrix_market(matrix.as_bytes()).map_err(|e| format!("parsing inline matrix: {e}"))?;
+    if m.nrows() > MAX_DIM || m.ncols() > MAX_DIM {
+        return Err(format!(
+            "inline matrix is {}x{}: expected at most {MAX_DIM} rows and columns",
+            m.nrows(),
+            m.ncols()
+        ));
+    }
     let fp = Fingerprint::of_matrix(&m);
     Ok((m, fp))
 }

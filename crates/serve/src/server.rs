@@ -27,8 +27,9 @@
 //! Every stage is observable: `serve.requests`, `serve.rejected_busy`,
 //! `serve.rejected_timeout`, `serve.tune.calls`, `serve.tune.coalesced`,
 //! and a `serve.request_seconds` histogram; the `stats` frame additionally
-//! reports an always-on latency histogram (p50/p99) and cache / plan-cache
-//! hit rates.
+//! reports the cache hit rate and an always-on request latency histogram
+//! (a [`waco_obs::Histogram`] owned by the loop thread, so p50/p99 are
+//! within [`waco_obs::QUANTILE_REL_ERROR`] of the exact values).
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -40,6 +41,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use waco_core::WacoError;
+use waco_obs::Histogram;
 use waco_runtime::poll::Waker;
 use waco_runtime::ThreadPool;
 use waco_schedule::Kernel;
@@ -203,96 +205,6 @@ impl ServeConfigBuilder {
 }
 
 // ---------------------------------------------------------------------------
-// Always-on latency histogram
-// ---------------------------------------------------------------------------
-
-/// Power-of-two microsecond buckets: index `i` counts requests whose
-/// service time in µs lies in `[2^(i-1), 2^i)` (index 0 absorbs sub-µs).
-/// 40 buckets span past 2^39 µs ≈ 6 days.
-const LAT_BUCKETS: usize = 40;
-
-/// Lock-free latency recorder backing the `stats` frame's p50/p99 even when
-/// `waco-obs` is not installed. Quantiles interpolate geometrically inside
-/// a bucket, so they are exact to within a factor of 2.
-struct LatencyHist {
-    buckets: [AtomicU64; LAT_BUCKETS],
-    count: AtomicU64,
-    sum_ns: AtomicU64,
-    max_ns: AtomicU64,
-}
-
-impl LatencyHist {
-    fn new() -> LatencyHist {
-        LatencyHist {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum_ns: AtomicU64::new(0),
-            max_ns: AtomicU64::new(0),
-        }
-    }
-
-    fn record(&self, d: Duration) {
-        let us = d.as_micros().min(u64::MAX as u128) as u64;
-        let idx = (u64::BITS - us.leading_zeros()) as usize;
-        self.buckets[idx.min(LAT_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        let ns = d.as_nanos().min(u64::MAX as u128) as u64;
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
-    }
-
-    /// Estimated `q`-quantile in seconds.
-    fn quantile_seconds(&self, q: f64) -> f64 {
-        let count = self.count.load(Ordering::Relaxed);
-        if count == 0 {
-            return 0.0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            let n = b.load(Ordering::Relaxed);
-            if n == 0 {
-                continue;
-            }
-            if seen + n >= rank {
-                // Bucket i spans [2^(i-1), 2^i) µs; interpolate
-                // geometrically by the in-bucket rank fraction.
-                let lo_us = if i == 0 {
-                    0.5
-                } else {
-                    (1u64 << (i - 1)) as f64
-                };
-                let frac = (rank - seen) as f64 / n as f64;
-                let est_us = lo_us * 2f64.powf(frac);
-                let max_s = self.max_ns.load(Ordering::Relaxed) as f64 * 1e-9;
-                return (est_us * 1e-6).min(max_s);
-            }
-            seen += n;
-        }
-        self.max_ns.load(Ordering::Relaxed) as f64 * 1e-9
-    }
-
-    fn to_json(&self) -> Json {
-        let count = self.count.load(Ordering::Relaxed);
-        let mean_s = if count == 0 {
-            0.0
-        } else {
-            self.sum_ns.load(Ordering::Relaxed) as f64 * 1e-9 / count as f64
-        };
-        Json::obj([
-            ("count", Json::num(count as f64)),
-            ("mean_ms", Json::num(mean_s * 1e3)),
-            ("p50_ms", Json::num(self.quantile_seconds(0.5) * 1e3)),
-            ("p99_ms", Json::num(self.quantile_seconds(0.99) * 1e3)),
-            (
-                "max_ms",
-                Json::num(self.max_ns.load(Ordering::Relaxed) as f64 * 1e-6),
-            ),
-        ])
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Shared state
 // ---------------------------------------------------------------------------
 
@@ -343,7 +255,6 @@ struct Shared {
     requests: AtomicU64,
     tune_calls: AtomicU64,
     coalesced: AtomicU64,
-    latency: LatencyHist,
     inflight: Mutex<HashMap<InflightKey, Vec<Waiter>>>,
     completions: Mutex<Vec<Completion>>,
     waker: Waker,
@@ -542,6 +453,9 @@ fn complete_one(shared: &Shared, job: &Job, body: Json) {
 struct ServerTier {
     shared: Arc<Shared>,
     jobs: Sender<Job>,
+    /// Always-on request latency in seconds, for the `stats` frame. Both
+    /// the recording and the `stats` answer run on the loop thread.
+    latency: Histogram,
 }
 
 impl Tier for ServerTier {
@@ -560,7 +474,7 @@ impl Tier for ServerTier {
         let kind = match req {
             Request::Stats => {
                 let _span = waco_obs::span("serve.request.stats");
-                let response = stats_response(&self.shared, reactor);
+                let response = stats_response(&self.shared, &self.latency, reactor);
                 self.record_latency(started);
                 return reactor.respond(token, &response);
             }
@@ -628,10 +542,10 @@ impl Tier for ServerTier {
 }
 
 impl ServerTier {
-    fn record_latency(&self, started: Instant) {
-        let elapsed = started.elapsed();
-        self.shared.latency.record(elapsed);
-        waco_obs::record("serve.request_seconds", elapsed.as_secs_f64());
+    fn record_latency(&mut self, started: Instant) {
+        let seconds = started.elapsed().as_secs_f64();
+        self.latency.observe(seconds);
+        waco_obs::record("serve.request_seconds", seconds);
     }
 }
 
@@ -684,7 +598,6 @@ impl Server {
             requests: AtomicU64::new(0),
             tune_calls: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
-            latency: LatencyHist::new(),
             inflight: Mutex::new(HashMap::new()),
             completions: Mutex::new(Vec::new()),
             waker,
@@ -702,6 +615,7 @@ impl Server {
         let mut tier = ServerTier {
             shared: Arc::clone(&shared),
             jobs: jobs_tx,
+            latency: Histogram::new(),
         };
         // When the loop returns, dropping `tier` drops the job sender;
         // executors drain the queue (late completions go nowhere) and exit.
@@ -755,7 +669,7 @@ fn rate(hits: u64, misses: u64) -> f64 {
     }
 }
 
-fn stats_response(shared: &Shared, reactor: &Reactor) -> Json {
+fn stats_response(shared: &Shared, latency: &Histogram, reactor: &Reactor) -> Json {
     let cache = shared.cache.stats();
     let mut fields = vec![
         ("ok", Json::Bool(true)),
@@ -798,20 +712,17 @@ fn stats_response(shared: &Shared, reactor: &Reactor) -> Json {
                 ),
             ]),
         ),
-        ("latency", shared.latency.to_json()),
-    ];
-    if let Some(pc) = shared.tuner.plan_cache_stats() {
-        fields.push((
-            "plan_cache",
+        (
+            "latency",
             Json::obj([
-                ("hits", Json::num(pc.hits as f64)),
-                ("misses", Json::num(pc.misses as f64)),
-                ("resident", Json::num(pc.resident as f64)),
-                ("capacity", Json::num(pc.capacity as f64)),
-                ("hit_rate", Json::num(rate(pc.hits, pc.misses))),
+                ("count", Json::num(latency.count as f64)),
+                ("mean_ms", Json::num(latency.mean() * 1e3)),
+                ("p50_ms", Json::num(latency.quantile(0.5) * 1e3)),
+                ("p99_ms", Json::num(latency.quantile(0.99) * 1e3)),
+                ("max_ms", Json::num(latency.max.max(0.0) * 1e3)),
             ]),
-        ));
-    }
+        ),
+    ];
     if waco_obs::enabled() {
         fields.push(("obs", obs_json()));
     }

@@ -6,20 +6,22 @@
 //! per `(kernel, dense extent)` pair, sharing one simulated machine and one
 //! training corpus, with optional model checkpoints and on-disk ANNS index
 //! snapshots for warm starts.
+//!
+//! A tuner delivers a decision (format + schedule), not an executable plan:
+//! the program that runs the kernel converts the format and lowers the
+//! schedule itself, as in WACO's split of end-to-end time into format
+//! conversion plus tuned-kernel time. The simulator has already lowered and
+//! timed the winner while measuring the top-k, so the tuner keeps no plans.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use waco_core::{Waco, WacoConfig, WacoError};
-use waco_exec::plan::ExecutionPlan;
-use waco_schedule::{Kernel, Space, SuperSchedule};
-use waco_sim::{MachineConfig, SimError, Simulator};
+use waco_schedule::{Kernel, SuperSchedule};
+use waco_sim::{MachineConfig, Simulator};
 use waco_tensor::{gen, CooMatrix};
-
-use crate::fingerprint::Fingerprint;
-use crate::plan_cache::{PlanCache, PlanCacheStats};
 
 /// What a tuner produces for one request.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,13 +48,6 @@ pub trait Tuner: Send + Sync {
         kernel: Kernel,
         dense_extent: usize,
     ) -> Result<TunedOutcome, WacoError>;
-
-    /// Lowered-plan cache counters, when the backend keeps one. The server's
-    /// `stats` frame reports these as the plan-cache hit rate; backends
-    /// without a plan cache (test doubles) inherit the `None` default.
-    fn plan_cache_stats(&self) -> Option<PlanCacheStats> {
-        None
-    }
 }
 
 /// Construction parameters for [`WacoTuner`].
@@ -68,9 +63,6 @@ pub struct WacoTunerConfig {
     /// Optional directory for ANNS index snapshots
     /// ([`Waco::set_index_cache`]); a warm server skips graph construction.
     pub index_cache: Option<PathBuf>,
-    /// Capacity of the lowered-plan cache (fingerprint+schedule keyed);
-    /// a warm server fetches the [`ExecutionPlan`] instead of re-lowering.
-    pub plan_cache_capacity: usize,
 }
 
 impl Default for WacoTunerConfig {
@@ -80,7 +72,6 @@ impl Default for WacoTunerConfig {
             corpus: (4, 24),
             checkpoint: None,
             index_cache: None,
-            plan_cache_capacity: 256,
         }
     }
 }
@@ -95,7 +86,6 @@ impl Default for WacoTunerConfig {
 pub struct WacoTuner {
     cfg: WacoTunerConfig,
     pipelines: Mutex<HashMap<(Kernel, usize), Waco>>,
-    plans: PlanCache,
 }
 
 impl std::fmt::Debug for WacoTuner {
@@ -107,36 +97,10 @@ impl std::fmt::Debug for WacoTuner {
 impl WacoTuner {
     /// Creates the tuner; training happens lazily per kernel instance.
     pub fn new(cfg: WacoTunerConfig) -> Self {
-        let plans = PlanCache::new(cfg.plan_cache_capacity);
         WacoTuner {
             cfg,
             pipelines: Mutex::new(HashMap::new()),
-            plans,
         }
-    }
-
-    /// The lowered plan for running `sched` over `m`'s structure — an `Arc`
-    /// clone when the plan cache is warm, a fresh lowering otherwise. Never
-    /// takes the pipeline lock, so concurrent requests for cached decisions
-    /// bypass the tuner entirely.
-    ///
-    /// # Errors
-    ///
-    /// Lowering errors if `sched` is invalid for `space`.
-    pub fn plan_for(
-        &self,
-        m: &CooMatrix,
-        sched: &SuperSchedule,
-        space: &Space,
-    ) -> Result<Arc<ExecutionPlan>, WacoError> {
-        self.plans
-            .get_or_lower(Fingerprint::of_matrix(m), sched, space)
-            .map_err(|e| WacoError::Sim(SimError::Exec(e)))
-    }
-
-    /// Hit/miss/occupancy counters of the lowered-plan cache.
-    pub fn plan_cache_stats(&self) -> PlanCacheStats {
-        self.plans.stats()
     }
 
     /// Eagerly trains (or restores) the pipeline for one kernel instance —
@@ -187,10 +151,6 @@ impl WacoTuner {
 }
 
 impl Tuner for WacoTuner {
-    fn plan_cache_stats(&self) -> Option<PlanCacheStats> {
-        Some(self.plans.stats())
-    }
-
     fn tune(
         &self,
         m: &CooMatrix,
@@ -198,16 +158,11 @@ impl Tuner for WacoTuner {
         dense_extent: usize,
     ) -> Result<TunedOutcome, WacoError> {
         let _span = waco_obs::span("serve.tuner.tune");
-        let (tuned, space) = {
+        let tuned = {
             let mut pipelines = self.pipelines.lock().expect("tuner lock poisoned");
             let waco = self.pipeline_for(&mut pipelines, kernel, dense_extent)?;
-            let tuned = waco.tune_matrix(m)?;
-            let space = waco.space_for_matrix(m);
-            (tuned, space)
+            waco.tune_matrix(m)?
         };
-        // Pre-lower the winning schedule outside the pipeline lock so the
-        // decision is already executable when the client comes back with it.
-        self.plan_for(m, &tuned.result.sched, &space)?;
         if waco_obs::enabled() {
             // The two-stage search's accounting, exported by `stats`:
             // candidates the asymptotic pruner discarded, and cost-model
@@ -239,23 +194,6 @@ mod tests {
         let b = tuner.tune(&m, Kernel::SpMV, 0).unwrap();
         assert_eq!(a, b);
         assert_eq!(tuner.pipelines.lock().unwrap().len(), 1);
-    }
-
-    #[test]
-    fn tune_warms_the_plan_cache() {
-        let tuner = WacoTuner::new(WacoTunerConfig::default());
-        let mut rng = Rng64::seed_from(13);
-        let m = gen::uniform_random(24, 24, 0.1, &mut rng);
-        let outcome = tuner.tune(&m, Kernel::SpMV, 0).unwrap();
-        let after_tune = tuner.plan_cache_stats();
-        assert_eq!(after_tune.misses, 1, "tune pre-lowers the winner");
-
-        // A client executing the decision hits the cache: no re-lowering.
-        let space = Space::new(Kernel::SpMV, vec![24, 24], 0);
-        let plan = tuner.plan_for(&m, &outcome.schedule, &space).unwrap();
-        let warm = tuner.plan_cache_stats();
-        assert_eq!((warm.hits, warm.misses), (1, 1));
-        assert_eq!(plan.kernel(), Kernel::SpMV);
     }
 
     #[test]

@@ -242,7 +242,13 @@ fn malformed_body_is_answered_and_connection_stays_open() {
 fn declared_nnz_bomb_is_answered_and_connection_stays_open() {
     let router = start_shardless_router(|b| b);
     let mut s = raw_connect(&router);
-    for size in ["1 1 100000000000000", "1 1 18446744073709551615"] {
+    for size in [
+        "1 1 100000000000000",
+        "1 1 18446744073709551615",
+        // Declared dimensions: one entry, 10^14 rows or columns.
+        "100000000000000 1 1\n1 1 1.0",
+        "1 100000000000000 1\n1 1 1.0",
+    ] {
         let body = format!("%%MatrixMarket matrix coordinate real general\n{size}\n");
         write_frame(&mut s, &request_json("lookup", "spmv", 0, &body)).unwrap();
         let reply = read_error_reply(&mut s);

@@ -343,6 +343,9 @@ fn declared_nnz_bomb_gets_an_error_frame() {
     for (op, size) in [
         ("lookup", "1 1 100000000000000"),
         ("tune", "1 1 18446744073709551615"),
+        // Declared dimensions: one entry, 10^14 rows or columns.
+        ("lookup", "100000000000000 1 1\n1 1 1.0"),
+        ("tune", "1 100000000000000 1\n1 1 1.0"),
     ] {
         let body = format!("%%MatrixMarket matrix coordinate real general\n{size}\n");
         let reply = client

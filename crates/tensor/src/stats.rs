@@ -7,6 +7,30 @@
 
 use crate::CooMatrix;
 
+/// Number of log₂ buckets in a degree histogram ([`log2_histogram`]).
+pub const HIST_BUCKETS: usize = 16;
+
+/// Histogram of per-line (row, column or slice) populations over log₂
+/// buckets: bucket `i` counts lines whose nnz `c` satisfies
+/// `floor(log2(c)) == i`, empty lines land in bucket 0 beside `c = 1`, and
+/// counts of `2^15` and above saturate into the last bucket.
+///
+/// The serve fingerprint hashes these buckets and the Stage-1 asymptotic
+/// profile prices skew from them, so both read one bucketing.
+#[inline]
+pub fn log2_histogram(counts: &[usize]) -> [u64; HIST_BUCKETS] {
+    let mut hist = [0u64; HIST_BUCKETS];
+    for &c in counts {
+        let bucket = if c <= 1 {
+            0
+        } else {
+            (usize::BITS - 1 - c.leading_zeros()) as usize
+        };
+        hist[bucket.min(HIST_BUCKETS - 1)] += 1;
+    }
+    hist
+}
+
 /// Statistical summary of a sparse matrix pattern.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixStats {

@@ -5,10 +5,10 @@
 #
 # Raw nanoseconds are machine-dependent, so the gate tracks *ratios*
 # between benches from the same run — plan-vs-interpreter speedup, serve
-# warm-vs-cold amortization, plan-cache fetch-vs-lower, the parallel work
-# gate's serial parity, and the disabled-observability tax. A tracked
-# ratio may drift by CHECK_BENCH_TOL (default 1.6x, CI noise included)
-# from the baseline before the gate fails.
+# warm-vs-cold amortization, the parallel work gate's serial parity, and
+# the disabled-observability tax. A tracked ratio may drift by
+# CHECK_BENCH_TOL (default 1.6x, CI noise included) from the baseline
+# before the gate fails.
 #
 #   cargo bench -p waco-bench -- --smoke   # writes results/microbench.json
 #   scripts/check_bench.sh [current.json] [baseline.json]
@@ -48,8 +48,6 @@ TRACKED = [
      "plan_lowering/spmm_10k_interp_8t", "plan_lowering/spmm_10k_plan_8t", True),
     ("serve_warm_vs_cold",
      "serve_cache/cold_tune_spmv_64", "serve_cache/warm_request_spmv_64", True),
-    ("plan_cache_fetch_vs_lower",
-     "plan_lowering/build_spmv_csr", "plan_lowering/plan_cache_warm", True),
     # The executor's work gate: an 8-thread schedule over sub-cutoff work
     # must run at serial parity (ratio ~1.0, lower is better).
     ("work_gate_parity",
